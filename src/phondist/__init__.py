@@ -14,7 +14,6 @@ from .align import (
     CognancyMatrix,
     ScoringScheme,
     cognancy_matrix,
-    decide_cognate,
     gap_score,
     global_align,
     local_align,
@@ -24,16 +23,13 @@ from .errors import InputError, NumericalError, PhondistError, TokenizeError, Un
 from .features import (
     Inventory,
     Segment,
-    get_segment,
     load_feature_table,
-    parse_ipa,
     render,
 )
 from .matrix import (
     DistanceMatrix,
     PcaResult,
     build_matrix,
-    export,
     load_reference_matrix,
     pca,
 )

@@ -213,11 +213,6 @@ def cognancy_matrix(
     return CognancyMatrix(tuple(words), scores)
 
 
-def decide_cognate(score: float, threshold: float = 0.0) -> bool:
-    """Cognancy call on an alignment score: True iff score >= threshold."""
-    return score >= threshold
-
-
 def format_cognancy_tsv(cm: CognancyMatrix, threshold: float | None = None, header: str = "") -> str:
     """Render the score matrix as TSV: "-" diagonal, signed 2-decimal entries.
 
@@ -234,7 +229,7 @@ def format_cognancy_tsv(cm: CognancyMatrix, threshold: float | None = None, head
             if value is None:
                 cells.append("-")
             else:
-                mark = "*" if threshold is not None and decide_cognate(value, threshold) else ""
+                mark = "*" if threshold is not None and value >= threshold else ""
                 cells.append(f"{value:+.2f}{mark}")
         out.append("\t".join(cells))
     return "\n".join(out) + "\n"

@@ -16,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, textio
 from .align import (
     DEFAULT_CENTER,
     DEFAULT_GAP,
@@ -200,7 +200,7 @@ def cmd_cognates(args) -> int:
     _require_files(args.matrix, args.words)
     dm = load_reference_matrix(args.matrix)
     scheme = _scheme(args, dm)
-    words = _read_words(args.words)
+    words = [line.strip() for line in textio.read_lines(args.words)]
     if len(words) < 2:
         raise InputError(f"word list needs at least 2 words, found {len(words)}")
     cm = cognancy_matrix(scheme, words, args.mode)
@@ -227,16 +227,6 @@ def cmd_pca(args) -> int:
     return 0
 
 
-def _read_words(path: str) -> list[str]:
-    words = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                words.append(line)
-    return words
-
-
 _COMMANDS = {
     "fit": cmd_fit,
     "matrix": cmd_matrix,
@@ -252,10 +242,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (InputError, FileNotFoundError) as exc:
-        print(f"phondist {args.command}: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"phondist {args.command}: error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -11,6 +11,8 @@ graphemes, which lets multi-codepoint entries (t͡s, aː, i̘) win over their
 prefixes. Strings are NFC-normalized at load and parse time; no other
 normalization or diacritic composition is attempted, so every grapheme a word
 may contain must be listed in the table.
+
+The table is read through textio as UTF-8.
 """
 
 import hashlib
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
+from . import textio
 from .errors import InputError, TokenizeError, UnknownSegmentError
 
 NULL_GRAPHEME = "∅"
@@ -153,27 +156,19 @@ def render(segments: Iterable[Segment]) -> str:
     return "".join(s.grapheme for s in segments)
 
 
-def get_segment(inv: Inventory, grapheme: str) -> Segment:
-    return inv.get_segment(grapheme)
-
-
-def parse_ipa(inv: Inventory, word: str) -> tuple[Segment, ...]:
-    return inv.parse(word)
-
-
 def load_feature_table(source: str | Path | TextIO) -> Inventory:
     """Load a TSV feature table into an Inventory.
 
     The header must start with the literal column "segment"; remaining columns
-    are feature names. Cells hold "+", "-" or "0". Lines starting with "#" are
-    comments. Columns named "stress" or "tone" are discarded.
+    are feature names. Cells hold "+", "-" or "0". Blank lines and "#" comment
+    lines are skipped (see textio). Columns named "stress" or "tone" are
+    discarded.
     """
-    lines = _read_lines(source)
-    rows = [line for line in lines if line.strip() and not line.lstrip().startswith("#")]
+    rows = textio.read_lines(source)
     if not rows:
         raise InputError("feature table is empty")
 
-    header = rows[0].rstrip("\n").split("\t")
+    header = rows[0].split("\t")
     if not header or header[0].strip() != "segment":
         raise InputError('feature table header must start with a "segment" column')
     raw_names = [h.strip() for h in header[1:]]
@@ -184,7 +179,7 @@ def load_feature_table(source: str | Path | TextIO) -> Inventory:
 
     parsed: list[tuple[str, FeatureVector]] = []
     for lineno, line in enumerate(rows[1:], start=2):
-        cells = line.rstrip("\n").split("\t")
+        cells = line.split("\t")
         if len(cells) != len(raw_names) + 1:
             raise InputError(
                 f"row {lineno}: expected {len(raw_names) + 1} columns, found {len(cells)}"
@@ -207,10 +202,3 @@ def load_feature_table(source: str | Path | TextIO) -> Inventory:
         parsed.append((grapheme, tuple(values)))
 
     return Inventory(names, parsed)
-
-
-def _read_lines(source: str | Path | TextIO) -> list[str]:
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as handle:
-            return handle.readlines()
-    return source.readlines()

@@ -8,6 +8,8 @@ fail, since a clamped linear model does not guarantee it.
 PCA treats matrix rows as observations: columns are mean-centered and the
 sample covariance is eigendecomposed. Component signs are fixed so each
 component's largest-magnitude entry is positive, keeping exports reproducible.
+
+Matrix TSVs are read, and every export written, through textio as UTF-8.
 """
 
 import unicodedata
@@ -17,6 +19,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
+from . import textio
 from .errors import InputError, UnknownSegmentError
 from .features import Inventory
 from .model import LinearModel, predict_distance
@@ -70,10 +73,6 @@ class PcaResult:
     segments: tuple[str, ...]
 
 
-def get(dm: DistanceMatrix, seg_a: str, seg_b: str) -> float:
-    return dm.get(seg_a, seg_b)
-
-
 def build_matrix(m: LinearModel, inv: Inventory, include_null: bool = False) -> DistanceMatrix:
     """Materialize all pairwise model distances over an inventory.
 
@@ -100,7 +99,7 @@ def load_reference_matrix(source: str | Path | TextIO) -> DistanceMatrix:
     Full matrices must be symmetric to within 1e-9; the stored matrix is
     exactly symmetrized from the lower triangle either way.
     """
-    lines = _data_lines(source)
+    lines = textio.read_lines(source)
     if not lines:
         raise InputError("matrix file is empty")
     header = lines[0].split("\t")
@@ -166,26 +165,6 @@ def pca(dm: DistanceMatrix, k: int) -> PcaResult:
     )
 
 
-def export(
-    obj: "DistanceMatrix | PcaResult",
-    sink: str | Path | TextIO,
-    fmt: str = "tsv",
-    header: str = "",
-) -> None:
-    """Write a matrix or PCA result as "tsv" or (PCA only) "svg-scatter"."""
-    if fmt == "tsv":
-        if isinstance(obj, DistanceMatrix):
-            export_matrix_tsv(obj, sink, header)
-        else:
-            export_pca_tsv(obj, sink, header)
-    elif fmt == "svg-scatter":
-        if not isinstance(obj, PcaResult):
-            raise InputError("svg-scatter export requires a PCA result")
-        export_pca_svg(obj, sink, header)
-    else:
-        raise InputError(f"unknown export format {fmt!r}")
-
-
 def export_matrix_tsv(dm: DistanceMatrix, sink: str | Path | TextIO, header: str = "") -> None:
     """Write a full square TSV with 6-decimal entries."""
     out = []
@@ -194,7 +173,7 @@ def export_matrix_tsv(dm: DistanceMatrix, sink: str | Path | TextIO, header: str
     out.append("segment\t" + "\t".join(dm.segments))
     for grapheme, row in zip(dm.segments, dm.values):
         out.append(grapheme + "\t" + "\t".join(f"{v:.6f}" for v in row))
-    _write_text(sink, "\n".join(out) + "\n")
+    textio.write_text(sink, "\n".join(out) + "\n")
 
 
 def export_pca_tsv(result: PcaResult, sink: str | Path | TextIO, header: str = "") -> None:
@@ -206,7 +185,7 @@ def export_pca_tsv(result: PcaResult, sink: str | Path | TextIO, header: str = "
     out.append("segment\t" + "\t".join(f"pc{i + 1}" for i in range(k)))
     for grapheme, coords in zip(result.segments, result.coordinates):
         out.append(grapheme + "\t" + "\t".join(f"{c:.6f}" for c in coords))
-    _write_text(sink, "\n".join(out) + "\n")
+    textio.write_text(sink, "\n".join(out) + "\n")
 
 
 def export_pca_svg(result: PcaResult, sink: str | Path | TextIO, header: str = "") -> None:
@@ -257,7 +236,7 @@ def export_pca_svg(result: PcaResult, sink: str | Path | TextIO, header: str = "
             f'<text class="seg-label" x="{x + 6:.1f}" y="{y - 6:.1f}" font-size="16">{label}</text>'
         )
     parts.append("</svg>")
-    _write_text(sink, "\n".join(parts) + "\n")
+    textio.write_text(sink, "\n".join(parts) + "\n")
 
 
 def _parse_floats(cells: list[str], label: str) -> list[float]:
@@ -269,24 +248,3 @@ def _parse_floats(cells: list[str], label: str) -> list[float]:
 
 def _xml_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def _data_lines(source: str | Path | TextIO) -> list[str]:
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as handle:
-            raw = handle.readlines()
-    else:
-        raw = source.readlines()
-    return [
-        line.rstrip("\n")
-        for line in raw
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-
-
-def _write_text(sink: str | Path | TextIO, text: str) -> None:
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sink.write(text)

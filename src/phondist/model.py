@@ -24,6 +24,8 @@ well-conditioned data.
 
 Predicted distances are clamped to the dimensionless [0, 1] scale and a
 segment's distance to itself is 0 by definition, not by training.
+
+Models are saved and loaded as UTF-8 JSON through textio.
 """
 
 import json
@@ -34,6 +36,7 @@ from typing import TextIO
 
 import numpy as np
 
+from . import textio
 from .errors import InputError, NumericalError, PhondistError
 from .features import Inventory, Segment, fingerprint_features
 from .seed import SeedDataset
@@ -158,25 +161,12 @@ def save_model(m: LinearModel, sink: str | Path | TextIO) -> None:
         "feature_names": list(m.feature_names),
         "coefficients": dict(zip(m.predictor_names, m.coefficients)),
     }
-    text = json.dumps(payload, ensure_ascii=False, indent=1)
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        sink.write(text + "\n")
+    textio.write_text(sink, json.dumps(payload, ensure_ascii=False, indent=1) + "\n")
 
 
 def load_model(source: str | Path | TextIO) -> LinearModel:
     """Read a model JSON file back, validating shape and fingerprint."""
-    try:
-        if isinstance(source, (str, Path)):
-            with open(source, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        else:
-            payload = json.load(source)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed model file: {exc}") from exc
-
+    payload = textio.read_json(source)
     if not isinstance(payload, dict):
         raise InputError("model file must hold a JSON object")
     for field in ("version", "lambda", "intercept", "fingerprint", "feature_names", "coefficients"):

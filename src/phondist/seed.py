@@ -14,17 +14,18 @@ inventory, so after min-max normalization it is extended in two steps:
    overrides or appends records for pairs the model still gets wrong.
 
 Every stage returns a new SeedDataset; record provenance is tracked as
-"seed", "delta" or "adjustment".
+"seed", "delta" or "adjustment". The seed, template and adjustment CSVs and
+the bundle JSON are read through textio; a bundle file of the wrong shape
+raises InputError.
 """
 
-import csv
-import json
 import math
 import unicodedata
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
+from . import textio
 from .errors import InputError
 from .features import Inventory
 
@@ -63,7 +64,6 @@ class DeltaSet:
     long_delta: float
     atr_delta: float
     rtr_delta: float
-    fortis_rule: bool = True
 
     def __post_init__(self):
         for name in ("nonpulmonic_central", "nonpulmonic_implosive",
@@ -199,7 +199,6 @@ def derive_deltas(ds: SeedDataset, bundles: DeltaBundles) -> DeltaSet:
         long_delta=class_mean_distance(ds, bundles.flap_trill),
         atr_delta=atr,
         rtr_delta=atr,
-        fortis_rule=True,
     )
 
 
@@ -242,8 +241,6 @@ def augment_with_deltas(
         if key in merged:
             continue
         if rule.delta_name == "fortis":
-            if not deltas.fortis_rule:
-                raise InputError("fortis template present but fortis rule disabled")
             voiceless = lookup(rule.base_a, rule.target_b)
             voiced = lookup(rule.base_b, rule.target_b)
             score = (voiceless + voiced) / 2.0
@@ -292,20 +289,21 @@ def apply_adjustments(ds: SeedDataset, source: str | Path | TextIO) -> SeedDatas
 
 def load_delta_bundles(source: str | Path | TextIO) -> DeltaBundles:
     """Read the correspondence pair lists (JSON mapping name → [[a, b], ...])."""
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as handle:
-            raw = json.load(handle)
-    else:
-        raw = json.load(source)
+    raw = textio.read_json(source)
+    if not isinstance(raw, dict):
+        raise InputError("delta bundle config must be a JSON object")
     missing = [name for name in BUNDLE_NAMES if name not in raw]
     if missing:
         raise InputError(f"delta bundle config missing {', '.join(missing)}")
     kwargs = {}
     for name in BUNDLE_NAMES:
+        if not isinstance(raw[name], list):
+            raise InputError(f"bundle {name!r} must be a list of pairs")
         pairs = []
         for entry in raw[name]:
-            if len(entry) != 2:
-                raise InputError(f"bundle {name!r}: pair {entry!r} is not a 2-list")
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and all(isinstance(g, str) for g in entry)):
+                raise InputError(f"bundle {name!r}: pair {entry!r} is not a 2-list of strings")
             pairs.append((_nfc(entry[0]), _nfc(entry[1])))
         if not pairs:
             raise InputError(f"bundle {name!r} is empty")
@@ -316,7 +314,7 @@ def load_delta_bundles(source: str | Path | TextIO) -> DeltaBundles:
 def load_templates(source: str | Path | TextIO) -> list[TemplateRule]:
     """Read template rules (CSV "delta_name,base_a,base_b,target_a,target_b,sign")."""
     rules = []
-    for lineno, row in _csv_rows(source):
+    for lineno, row in textio.read_csv(source):
         if len(row) != 6:
             raise InputError(f"template row {lineno}: expected 6 columns, got {len(row)}")
         name, base_a, base_b, target_a, target_b, sign = (cell.strip() for cell in row)
@@ -334,26 +332,9 @@ def _nfc(text: str) -> str:
     return unicodedata.normalize("NFC", text.strip())
 
 
-def _csv_rows(source: str | Path | TextIO) -> list[tuple[int, list[str]]]:
-    try:
-        if isinstance(source, (str, Path)):
-            with open(source, encoding="utf-8", newline="") as handle:
-                raw = list(csv.reader(handle))
-        else:
-            raw = list(csv.reader(source))
-    except csv.Error as exc:
-        raise InputError(f"malformed CSV: {exc}") from exc
-    rows = []
-    for lineno, row in enumerate(raw, start=1):
-        if not row or row[0].lstrip().startswith("#"):
-            continue
-        rows.append((lineno, row))
-    return rows
-
-
 def _read_score_rows(source: str | Path | TextIO) -> list[tuple[str, str, float]]:
     rows = []
-    for lineno, row in _csv_rows(source):
+    for lineno, row in textio.read_csv(source):
         if len(row) != 3:
             raise InputError(f"row {lineno}: expected 3 columns, got {len(row)}")
         seg_a, seg_b, raw_score = (cell.strip() for cell in row)

@@ -304,15 +304,22 @@ class TestCognancyMatrix:
                     assert len(cell.split(".")[1]) == 2
 
 
+def is_marked_cognate(score: float, threshold: float) -> bool:
+    """The cognancy call format_cognancy_tsv makes for one pair score."""
+    cm = pd.CognancyMatrix(("x", "y"), [[None, score], [score, None]])
+    row = format_cognancy_tsv(cm, threshold=threshold).splitlines()[1].split("\t")
+    return row[2].endswith("*")
+
+
 class TestDecideCognate:
     def test_positive_signal(self):
-        assert pd.decide_cognate(27.93, 0.0)
+        assert is_marked_cognate(27.93, 0.0)
 
     def test_negative_signal(self):
-        assert not pd.decide_cognate(-76.25, 0.0)
+        assert not is_marked_cognate(-76.25, 0.0)
 
     def test_boundary_inclusive(self):
-        assert pd.decide_cognate(5.0, 5.0)
+        assert is_marked_cognate(5.0, 5.0)
 
 
 class TestFormatting:

@@ -76,42 +76,42 @@ class TestLoadFeatureTable:
 class TestGetSegment:
     def test_lookup(self):
         inv = small_inventory()
-        assert pd.get_segment(inv, "p").grapheme == "p"
+        assert inv.get_segment("p").grapheme == "p"
 
     def test_null_lookup(self):
         inv = small_inventory()
-        assert pd.get_segment(inv, "∅").is_null
+        assert inv.get_segment("∅").is_null
 
     def test_missing_carries_grapheme(self):
         inv = small_inventory()
         with pytest.raises(UnknownSegmentError) as exc:
-            pd.get_segment(inv, "ʘ")
+            inv.get_segment("ʘ")
         assert exc.value.grapheme == "ʘ"
 
 
 class TestParseIpa:
     def test_tochter(self, demo_inventory):
-        segs = pd.parse_ipa(demo_inventory, "tɔxtər")
+        segs = demo_inventory.parse("tɔxtər")
         assert [s.grapheme for s in segs] == ["t", "ɔ", "x", "t", "ə", "r"]
 
     def test_longest_match_wins(self):
         table = "segment\tconsonantal\nt\t+\nʃ\t+\ntʃ\t+\na\t-\n"
         inv = pd.load_feature_table(io.StringIO(table))
-        assert [s.grapheme for s in pd.parse_ipa(inv, "tʃa")] == ["tʃ", "a"]
+        assert [s.grapheme for s in inv.parse("tʃa")] == ["tʃ", "a"]
 
     def test_tie_bar_affricate(self, demo_inventory):
-        segs = pd.parse_ipa(demo_inventory, "t͡sa")
+        segs = demo_inventory.parse("t͡sa")
         assert [s.grapheme for s in segs] == ["t͡s", "a"]
 
     def test_unmatched_offset(self):
         inv = small_inventory()
         with pytest.raises(TokenizeError) as exc:
-            pd.parse_ipa(inv, "pq")
+            inv.parse("pq")
         assert exc.value.offset == 1
 
     def test_empty_word_errors(self):
         with pytest.raises(InputError):
-            pd.parse_ipa(small_inventory(), "   ")
+            small_inventory().parse("   ")
 
     def test_longest_match_invariant(self, demo_inventory):
         # No produced token is a proper prefix of a longer grapheme that
@@ -119,7 +119,7 @@ class TestParseIpa:
         word = "at͡ʃaːkʼi̘mp͈a"
         graphemes = set(demo_inventory.graphemes)
         pos = 0
-        for seg in pd.parse_ipa(demo_inventory, word):
+        for seg in demo_inventory.parse(word):
             token = seg.grapheme
             for g in graphemes:
                 if len(g) > len(token) and word.startswith(g, pos):
@@ -151,7 +151,7 @@ class TestGreedyMatchesOracle:
             segmentations = all_segmentations(word, self.GRAPHEMES)
             assert segmentations, word  # every concatenation stays parseable
             expected = leftmost_longest(segmentations)
-            got = tuple(s.grapheme for s in pd.parse_ipa(inv, word))
+            got = tuple(s.grapheme for s in inv.parse(word))
             assert got == expected, word
 
 
@@ -171,7 +171,7 @@ class TestRender:
             st.lists(st.sampled_from(sorted(demo_inventory.graphemes)), min_size=1, max_size=8)
         )
         word = "".join(graphemes)
-        parsed = pd.parse_ipa(demo_inventory, word)
+        parsed = demo_inventory.parse(word)
         assert pd.render(parsed) == word
         # determinism
-        assert pd.parse_ipa(demo_inventory, word) == parsed
+        assert demo_inventory.parse(word) == parsed

@@ -1,0 +1,182 @@
+"""No input file, however malformed, may end the CLI in a traceback.
+
+Each case runs one subcommand in-process with exactly one of its file
+arguments swapped for a corrupted copy of a good file: random bytes, a
+non-UTF-8 byte, a truncation, one mangled line, or (for JSON files) a value
+of the wrong shape somewhere in the document. The other files stay intact.
+`main` must return 0 or 2, raise nothing, and write at most one stderr line.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from phondist import bundled_path
+from phondist.cli import main
+
+BUNDLED = {
+    "features": bundled_path("features.tsv"),
+    "seed": bundled_path("seed_scores.csv"),
+    "templates": bundled_path("delta_templates.csv"),
+    "bundles": bundled_path("delta_bundles.json"),
+    "adjustments": bundled_path("adjustments.csv"),
+    "fixture": bundled_path("paper_table.tsv"),
+    "words": bundled_path("wordlists/test1.txt"),
+}
+
+# Bytes that never occur in UTF-8.
+NON_UTF8 = b"\x80\xc0\xc1\xf5\xfe\xff"
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Good input files by role, including a fitted model and its matrix."""
+    work = tmp_path_factory.mktemp("malformed")
+    good = dict(BUNDLED)
+    good["model"] = work / "model.json"
+    good["matrix"] = work / "matrix.tsv"
+    assert _run(["fit", *_fit_args(good), "-o", str(good["model"])])[0] == 0
+    assert _run([
+        "matrix", "--model", str(good["model"]), "--features", str(good["features"]),
+        "--include-null", "-o", str(good["matrix"]),
+    ])[0] == 0
+    return good, work
+
+
+def _fit_args(f):
+    return [
+        "--features", str(f["features"]), "--seed", str(f["seed"]),
+        "--templates", str(f["templates"]), "--bundles", str(f["bundles"]),
+        "--adjustments", str(f["adjustments"]),
+    ]
+
+
+def _argv(command, f, out):
+    """Arguments that succeed on the good files."""
+    return {
+        "fit": ["fit", *_fit_args(f), "-o", out],
+        "matrix": ["matrix", "--model", str(f["model"]),
+                   "--features", str(f["features"]), "--include-null", "-o", out],
+        "distance": ["distance", "--matrix", str(f["fixture"]), "a", "i"],
+        "align": ["align", "--matrix", str(f["matrix"]), "woldemort", "waldemar"],
+        "cognates": ["cognates", "--matrix", str(f["matrix"]),
+                     "--words", str(f["words"]), "--threshold", "0"],
+        "pca": ["pca", "--matrix", str(f["fixture"]), "-k", "2", "--format", "svg", "-o", out],
+    }[command]
+
+
+# (subcommand, role of the file argument that gets corrupted)
+CASES = [
+    ("fit", "features"),
+    ("fit", "seed"),
+    ("fit", "templates"),
+    ("fit", "bundles"),
+    ("fit", "adjustments"),
+    ("matrix", "model"),
+    ("matrix", "features"),
+    ("distance", "fixture"),
+    ("align", "matrix"),
+    ("cognates", "matrix"),
+    ("cognates", "words"),
+    ("pca", "fixture"),
+]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def corruptions(draw, good: bytes, is_json: bool):
+    """A corrupted copy of `good` and the name of the corruption."""
+    kinds = ["random_bytes", "non_utf8", "truncated", "mangled_line"]
+    if is_json:
+        kinds.append("json_shape")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "random_bytes":
+        return kind, draw(st.binary(max_size=300))
+    if kind == "non_utf8":
+        pos = draw(st.integers(0, len(good)))
+        return kind, good[:pos] + bytes([draw(st.sampled_from(NON_UTF8))]) + good[pos:]
+    if kind == "truncated":
+        return kind, good[: draw(st.integers(0, len(good) - 1))]
+    if kind == "mangled_line":
+        lines = good.split(b"\n")
+        k = draw(st.integers(0, len(lines) - 1))
+        own = sorted(set(lines[k].decode("utf-8")) | set("\t,#\"[]{}:.-+0123456789e"))
+        lines[k] = draw(st.text(st.sampled_from(own) | st.characters(codec="utf-8"), max_size=60)).encode("utf-8")
+        return kind, b"\n".join(lines)
+    # json_shape: replace one node, anywhere from the root down, with any JSON value.
+    doc = json.loads(good)
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, draw(st.sampled_from(keys))
+        node = node[key]
+    value = draw(json_values)
+    if parent is None:
+        doc = value
+    else:
+        parent[key] = value
+    return kind, json.dumps(doc, ensure_ascii=False).encode("utf-8")
+
+
+def _check(command, role, data: bytes, files, kind=None):
+    good, work = files
+    bad = work / f"bad-{role}{Path(good[role]).suffix}"
+    bad.write_bytes(data)
+    code, err = _run(_argv(command, {**good, role: bad}, str(work / "out")))
+    assert code in (0, 2), err
+    assert len(err.splitlines()) <= 1, err
+    if kind == "non_utf8":
+        assert code == 2 and str(bad) in err, err
+    return code, err
+
+
+@pytest.mark.parametrize("command,role", CASES)
+def test_malformed_file_exits_cleanly(command, role, files):
+    good = Path(files[0][role]).read_bytes()
+
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(corruptions(good, role in ("bundles", "model")))
+    def check(corruption):
+        kind, data = corruption
+        _check(command, role, data, files, kind)
+
+    check()
+
+
+@pytest.mark.parametrize("content", [
+    "null",
+    '{"stop_affricate": 5}',
+    '{"stop_affricate": [[1, 2]]}',
+])
+def test_bundle_shape_errors_exit_2(content, files):
+    good = json.loads(Path(BUNDLED["bundles"]).read_text(encoding="utf-8"))
+    doc = json.loads(content)
+    if isinstance(doc, dict):
+        doc = {**good, **doc}
+    data = json.dumps(doc).encode("utf-8")
+    code, err = _check("fit", "bundles", data, files)
+    assert code == 2 and "bundle" in err, err
+
+
+@pytest.mark.parametrize("command,role", [("fit", "bundles"), ("matrix", "model")])
+def test_deeply_nested_json_exits_2(command, role, files):
+    code, err = _check(command, role, b"[" * 100_000, files)
+    assert code == 2 and "JSON" in err, err

@@ -117,8 +117,8 @@ class TestLoadReferenceMatrix:
             assert fixture_matrix.get(a, b) == expected
 
     def test_symmetric_lookup(self, fixture_matrix):
-        assert pd.matrix.get(fixture_matrix, "j", "i") == pd.matrix.get(fixture_matrix, "i", "j")
-        assert pd.matrix.get(fixture_matrix, "i", "j") == 0.01
+        assert fixture_matrix.get("j", "i") == fixture_matrix.get("i", "j")
+        assert fixture_matrix.get("i", "j") == 0.01
 
     def test_diagonal_zero(self, fixture_matrix):
         for g in fixture_matrix.segments:
@@ -265,14 +265,14 @@ class TestPca:
 class TestExport:
     def test_matrix_tsv_round_trip(self, fixture_matrix, tmp_path):
         path = tmp_path / "m.tsv"
-        pd.export(fixture_matrix, path, "tsv", header="params: demo")
+        export_matrix_tsv(fixture_matrix, path, header="params: demo")
         again = pd.load_reference_matrix(path)
         assert np.max(np.abs(again.values - fixture_matrix.values)) < 1e-6
 
     def test_pca_tsv_shape(self, fixture_matrix, tmp_path):
         result = pd.pca(fixture_matrix, 2)
         path = tmp_path / "pca.tsv"
-        pd.export(result, path, "tsv")
+        export_pca_tsv(result, path)
         lines = [
             line for line in path.read_text(encoding="utf-8").splitlines()
             if line and not line.startswith("#")
@@ -284,7 +284,7 @@ class TestExport:
     def test_svg_one_label_per_segment(self, fixture_matrix, tmp_path):
         result = pd.pca(fixture_matrix, 2)
         path = tmp_path / "scatter.svg"
-        pd.export(result, path, "svg-scatter")
+        export_pca_svg(result, path)
         svg = path.read_text(encoding="utf-8")
         assert svg.count('class="seg-label"') == len(fixture_matrix)
         for g in fixture_matrix.segments:
@@ -295,12 +295,4 @@ class TestExport:
     def test_svg_needs_two_components(self, fixture_matrix, tmp_path):
         result = pd.pca(fixture_matrix, 1)
         with pytest.raises(InputError):
-            pd.export(result, tmp_path / "x.svg", "svg-scatter")
-
-    def test_matrix_cannot_export_svg(self, fixture_matrix, tmp_path):
-        with pytest.raises(InputError):
-            pd.export(fixture_matrix, tmp_path / "x.svg", "svg-scatter")
-
-    def test_unknown_format_errors(self, fixture_matrix, tmp_path):
-        with pytest.raises(InputError):
-            pd.export(fixture_matrix, tmp_path / "x.bin", "parquet")
+            export_pca_svg(result, tmp_path / "x.svg")

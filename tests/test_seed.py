@@ -119,7 +119,6 @@ class TestDeriveDeltas:
         assert deltas.long_delta == LONG
         assert deltas.atr_delta == ATR
         assert deltas.rtr_delta == deltas.atr_delta
-        assert deltas.fortis_rule
 
 
 class TestAugmentWithDeltas:
