@@ -3,17 +3,21 @@
 Distances are turned into alignment similarities with the linear transform
 sigma * (center - d): pairs closer than `center` score positive, farther
 pairs negative. Gaps are priced either against the null segment's column
-(sigma * (center - d(x, ∅))) or with a flat constant.
+(sigma * (center - d(x, ∅))) or with a flat constant; gap penalties are
+linear, with no affine open/extend distinction.
 
-Global alignment is the classic maximum-sum dynamic program over pair and gap
-columns; local alignment is its floored-at-zero variant, so an empty
-alignment is always admissible. Traceback ties are broken deterministically:
-diagonal first, then consuming a left-word segment against a gap, then a
-right-word segment against a gap. Gap penalties are linear; there is no
-affine open/extend distinction.
+One dynamic program (`_align`) serves both modes: local alignment floors each
+cell at 0, global alignment does not (a floor of -inf), so an empty local
+alignment is always admissible. It reads only the integer-indexed tables a
+ScoringScheme builds once, takes O(n·m) time, keeps two score rows (O(m)
+memory) and n·m bytes of traceback moves. Ties go to the diagonal, then a
+left-word segment against a gap, then a right-word segment against a gap; a
+local alignment ends at the first best cell in row-major order.
 """
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import InputError
@@ -26,6 +30,10 @@ DEFAULT_GAP = -5.0
 
 Column = tuple[str | None, str | None]  # (left token, right token), None = gap
 
+# Traceback moves, one byte per DP cell. _STOP ends a local alignment (the
+# cell was floored) and marks the origin of a global one.
+_STOP, _DIAG, _UP, _LEFT = 0, 1, 2, 3
+
 
 @dataclass(frozen=True)
 class ScoringScheme:
@@ -36,14 +44,26 @@ class ScoringScheme:
     gap_constant: float = DEFAULT_GAP
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise InputError(f"sigma must be > 0, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise InputError(f"sigma must be finite and > 0, got {self.sigma}")
         if not 0 < self.center <= 1:
             raise InputError(f"center must be in (0, 1], got {self.center}")
         if self.gap_mode not in ("constant", "null_column"):
             raise InputError(f"unknown gap mode {self.gap_mode!r}")
         if self.gap_mode == "null_column" and NULL_GRAPHEME not in self.matrix:
             raise InputError("null_column gap mode needs a ∅ row in the matrix")
+        if not math.isfinite(self.gap_constant):
+            raise InputError(f"gap score must be finite, got {self.gap_constant}")
+        # The kernel's tables, by matrix index: similarity rows, gap scores,
+        # and the grapheme index and lengths the tokenizer probes.
+        sim = self.sigma * (self.center - self.matrix.values)
+        gaps = ([self.gap_constant] * len(self.matrix) if self.gap_mode == "constant"
+                else sim[:, self.matrix.index(NULL_GRAPHEME)].tolist())
+        segments = self.matrix.segments
+        object.__setattr__(self, "_sim", sim.tolist())
+        object.__setattr__(self, "_gaps", gaps)
+        object.__setattr__(self, "_index", {g: i for i, g in enumerate(segments)})
+        object.__setattr__(self, "_lengths", sorted({len(g) for g in segments}, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -85,10 +105,8 @@ def tokens_for(s: ScoringScheme, word: "str | Sequence[str]") -> list[str]:
     forces an all-gap alignment).
     """
     if isinstance(word, str):
-        stripped = word.strip()
-        if not stripped:
-            return []
-        return tokenize(stripped, set(s.matrix.segments))
+        word = word.strip()
+        return tokenize(word, s._index, s._lengths) if word else []
     toks = list(word)
     for t in toks:
         s.matrix.index(t)  # raises for unknown tokens
@@ -97,99 +115,66 @@ def tokens_for(s: ScoringScheme, word: "str | Sequence[str]") -> list[str]:
 
 def global_align(s: ScoringScheme, left: "str | Sequence[str]", right: "str | Sequence[str]") -> Alignment:
     """Optimal global alignment (maximum total column score)."""
-    lt = tokens_for(s, left)
-    rt = tokens_for(s, right)
-    n, m = len(lt), len(rt)
-    gaps_l = [gap_score(s, t) for t in lt]
-    gaps_r = [gap_score(s, t) for t in rt]
-
-    score = [[0.0] * (m + 1) for _ in range(n + 1)]
-    # 0 = diagonal, 1 = up (left token vs gap), 2 = left (gap vs right token)
-    move = [[-1] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        score[i][0] = score[i - 1][0] + gaps_l[i - 1]
-        move[i][0] = 1
-    for j in range(1, m + 1):
-        score[0][j] = score[0][j - 1] + gaps_r[j - 1]
-        move[0][j] = 2
-    for i in range(1, n + 1):
-        row = score[i]
-        prev = score[i - 1]
-        for j in range(1, m + 1):
-            diag = prev[j - 1] + similarity(s, lt[i - 1], rt[j - 1])
-            up = prev[j] + gaps_l[i - 1]
-            lft = row[j - 1] + gaps_r[j - 1]
-            best, which = diag, 0
-            if up > best:
-                best, which = up, 1
-            if lft > best:
-                best, which = lft, 2
-            row[j] = best
-            move[i][j] = which
-
-    columns: list[Column] = []
-    i, j = n, m
-    while i > 0 or j > 0:
-        which = move[i][j]
-        if which == 0:
-            columns.append((lt[i - 1], rt[j - 1]))
-            i -= 1
-            j -= 1
-        elif which == 1:
-            columns.append((lt[i - 1], None))
-            i -= 1
-        else:
-            columns.append((None, rt[j - 1]))
-            j -= 1
-    columns.reverse()
-    return Alignment(tuple(columns), score[n][m])
+    return _align(s, tokens_for(s, left), tokens_for(s, right), local=False)
 
 
 def local_align(s: ScoringScheme, left: "str | Sequence[str]", right: "str | Sequence[str]") -> Alignment:
     """Best contiguous sub-alignment, floored at score 0 (may be empty)."""
-    lt = tokens_for(s, left)
-    rt = tokens_for(s, right)
-    n, m = len(lt), len(rt)
-    gaps_l = [gap_score(s, t) for t in lt]
-    gaps_r = [gap_score(s, t) for t in rt]
+    return _align(s, tokens_for(s, left), tokens_for(s, right), local=True)
 
-    score = [[0.0] * (m + 1) for _ in range(n + 1)]
-    # -1 = restart (score floored at 0), otherwise as in global_align
-    move = [[-1] * (m + 1) for _ in range(n + 1)]
+
+def _align(s: ScoringScheme, lt: list[str], rt: list[str], local: bool) -> Alignment:
+    """The dynamic program behind both aligners. A cell takes the first best of
+    the diagonal, up (left token vs gap) and left (gap vs right token) moves;
+    in local mode a cell not above 0 is floored at 0, where an alignment starts."""
+    li = [s._index[t] for t in lt]
+    ri = [s._index[t] for t in rt]
+    n, m = len(li), len(ri)
+    gl = [s._gaps[k] for k in li]
+    gr = [s._gaps[k] for k in ri]
+    prev = [0.0] * (m + 1) if local else list(accumulate(gr, initial=0.0))
+    moves = [bytes([_STOP] + [_STOP if local else _LEFT] * m)]
     best_score, best_cell = 0.0, (0, 0)
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            diag = score[i - 1][j - 1] + similarity(s, lt[i - 1], rt[j - 1])
-            up = score[i - 1][j] + gaps_l[i - 1]
-            lft = score[i][j - 1] + gaps_r[j - 1]
-            best, which = 0.0, -1
-            if diag > best:
-                best, which = diag, 0
+    for i in range(n):
+        srow = s._sim[li[i]]
+        g = gl[i]
+        lft = 0.0 if local else prev[0] + g
+        row = [lft]
+        move = [_STOP if local else _UP]
+        for d0, u0, r, gj in zip(prev, prev[1:], ri, gr):
+            diag = d0 + srow[r]
+            up = u0 + g
+            lft += gj
+            best, which = diag, _DIAG
             if up > best:
-                best, which = up, 1
+                best, which = up, _UP
             if lft > best:
-                best, which = lft, 2
-            score[i][j] = best
-            move[i][j] = which
-            if best > best_score:
-                best_score, best_cell = best, (i, j)
+                best, which = lft, _LEFT
+            if local and not best > 0.0:
+                best, which = 0.0, _STOP
+            lft = best
+            row.append(best)
+            move.append(which)
+        moves.append(bytes(move))
+        prev = row
+        if local and (top := max(row)) > best_score:
+            best_score, best_cell = top, (i + 1, row.index(top))
 
+    i, j = best_cell if local else (n, m)
     columns: list[Column] = []
-    i, j = best_cell
-    while move[i][j] != -1:
-        which = move[i][j]
-        if which == 0:
-            columns.append((lt[i - 1], rt[j - 1]))
+    while (which := moves[i][j]) != _STOP:
+        if which == _DIAG:
             i -= 1
             j -= 1
-        elif which == 1:
-            columns.append((lt[i - 1], None))
+            columns.append((lt[i], rt[j]))
+        elif which == _UP:
             i -= 1
+            columns.append((lt[i], None))
         else:
-            columns.append((None, rt[j - 1]))
             j -= 1
+            columns.append((None, rt[j]))
     columns.reverse()
-    return Alignment(tuple(columns), best_score)
+    return Alignment(tuple(columns), best_score if local else prev[m])
 
 
 def cognancy_matrix(
@@ -197,17 +182,18 @@ def cognancy_matrix(
     words: Sequence[str],
     mode: str = "global",
 ) -> CognancyMatrix:
-    """All-pairs alignment scores for a word list (diagonal left undefined)."""
+    """All-pairs alignment scores (diagonal left undefined); each word is tokenized once."""
     if len(words) < 2:
         raise InputError(f"need at least 2 words, got {len(words)}")
     if mode not in ("global", "local"):
         raise InputError(f"unknown alignment mode {mode!r}")
     aligner = global_align if mode == "global" else local_align
+    tokens = [tokens_for(s, w) for w in words]
     n = len(words)
     scores: list[list[float | None]] = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            value = aligner(s, words[i], words[j]).score
+            value = aligner(s, tokens[i], tokens[j]).score
             scores[i][j] = value
             scores[j][i] = value
     return CognancyMatrix(tuple(words), scores)

@@ -14,7 +14,7 @@ Exit codes: 0 success, 1 internal/numerical failure, 2 usage or input error.
 
 import argparse
 import sys
-from pathlib import Path
+from contextlib import contextmanager
 
 from . import __version__, textio
 from .align import (
@@ -28,7 +28,7 @@ from .align import (
     global_align,
     local_align,
 )
-from .errors import InputError, NumericalError, PhondistError
+from .errors import InputError, NumericalError
 from .features import load_feature_table
 from .matrix import (
     build_matrix,
@@ -119,10 +119,13 @@ def _add_scoring_options(p: argparse.ArgumentParser) -> None:
                    help="price gaps against the ∅ column instead of --gap")
 
 
-def _require_files(*paths: "str | None") -> None:
-    for p in paths:
-        if p is not None and not Path(p).is_file():
-            raise InputError(f"no such file: {p}")
+@contextmanager
+def _naming(*paths: str):
+    """Put the file arguments a step reads in front of any input error it raises."""
+    try:
+        yield
+    except InputError as exc:
+        raise InputError(f"{', '.join(paths)}: {exc}") from exc
 
 
 def _params_header(**params) -> str:
@@ -131,19 +134,24 @@ def _params_header(**params) -> str:
 
 
 def cmd_fit(args) -> int:
-    _require_files(args.features, args.seed, args.adjustments, args.templates, args.bundles)
     if args.lam < 0:
         raise InputError(f"--lambda must be >= 0, got {args.lam}")
     if args.templates and not args.bundles:
         raise InputError("--templates requires --bundles for the delta pair lists")
-    inv = load_feature_table(args.features)
-    ds = normalize_scores(load_seed_matrix(args.seed, inv))
+    with _naming(args.features):
+        inv = load_feature_table(args.features)
+    with _naming(args.seed):
+        ds = normalize_scores(load_seed_matrix(args.seed, inv))
     if args.templates:
-        bundles = load_delta_bundles(args.bundles)
-        deltas = derive_deltas(ds, bundles)
-        ds = augment_with_deltas(ds, deltas, inv, load_templates(args.templates))
+        with _naming(args.bundles):
+            bundles = load_delta_bundles(args.bundles)
+        with _naming(args.templates):
+            templates = load_templates(args.templates)
+        with _naming(args.seed, args.bundles, args.templates):
+            ds = augment_with_deltas(ds, derive_deltas(ds, bundles), inv, templates)
     if args.adjustments:
-        ds = apply_adjustments(ds, args.adjustments)
+        with _naming(args.adjustments):
+            ds = apply_adjustments(ds, args.adjustments)
     model = fit(ds, inv, args.lam)
     save_model(model, args.out)
     print(f"fitted on {len(ds)} records, lambda={args.lam}")
@@ -158,10 +166,12 @@ def cmd_fit(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    _require_files(args.model, args.features)
-    inv = load_feature_table(args.features)
-    model = load_model(args.model)
-    dm = build_matrix(model, inv, include_null=args.include_null)
+    with _naming(args.features):
+        inv = load_feature_table(args.features)
+    with _naming(args.model):
+        model = load_model(args.model)
+    with _naming(args.features, args.model):
+        dm = build_matrix(model, inv, include_null=args.include_null)
     header = _params_header(model=args.model, include_null=args.include_null)
     export_matrix_tsv(dm, args.out, header=header)
     print(f"wrote {len(dm)}x{len(dm)} matrix to {args.out}")
@@ -169,8 +179,8 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    _require_files(args.matrix)
-    dm = load_reference_matrix(args.matrix)
+    with _naming(args.matrix):
+        dm = load_reference_matrix(args.matrix)
     print(f"{dm.get(args.seg_a, args.seg_b):.2f}")
     return 0
 
@@ -186,8 +196,8 @@ def _scheme(args, dm) -> ScoringScheme:
 
 
 def cmd_align(args) -> int:
-    _require_files(args.matrix)
-    dm = load_reference_matrix(args.matrix)
+    with _naming(args.matrix):
+        dm = load_reference_matrix(args.matrix)
     scheme = _scheme(args, dm)
     aligner = global_align if args.mode == "global" else local_align
     alignment = aligner(scheme, args.word1, args.word2)
@@ -197,13 +207,14 @@ def cmd_align(args) -> int:
 
 
 def cmd_cognates(args) -> int:
-    _require_files(args.matrix, args.words)
-    dm = load_reference_matrix(args.matrix)
+    with _naming(args.matrix):
+        dm = load_reference_matrix(args.matrix)
     scheme = _scheme(args, dm)
-    words = [line.strip() for line in textio.read_lines(args.words)]
-    if len(words) < 2:
-        raise InputError(f"word list needs at least 2 words, found {len(words)}")
-    cm = cognancy_matrix(scheme, words, args.mode)
+    with _naming(args.words):
+        words = [line.strip() for line in textio.read_lines(args.words)]
+        if len(words) < 2:
+            raise InputError(f"word list needs at least 2 words, found {len(words)}")
+        cm = cognancy_matrix(scheme, words, args.mode)
     header = _params_header(
         mode=args.mode, sigma=args.sigma, center=args.center,
         gap="null_column" if args.null_gaps else args.gap,
@@ -213,10 +224,10 @@ def cmd_cognates(args) -> int:
 
 
 def cmd_pca(args) -> int:
-    _require_files(args.matrix)
     if args.components < 1:
         raise InputError(f"-k must be >= 1, got {args.components}")
-    dm = load_reference_matrix(args.matrix)
+    with _naming(args.matrix):
+        dm = load_reference_matrix(args.matrix)
     result = pca(dm, args.components)
     header = _params_header(matrix=args.matrix, k=args.components)
     if args.format == "svg":
@@ -247,9 +258,6 @@ def main(argv: "list[str] | None" = None) -> int:
         return 2
     except NumericalError as exc:
         print(f"phondist {args.command}: numerical failure: {exc}", file=sys.stderr)
-        return 1
-    except PhondistError as exc:
-        print(f"phondist {args.command}: error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -17,9 +17,10 @@ The table is read through textio as UTF-8.
 
 import hashlib
 import unicodedata
+from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import TextIO
 
 from . import textio
 from .errors import InputError, TokenizeError, UnknownSegmentError
@@ -49,7 +50,9 @@ class Segment:
 class Inventory:
     """Immutable grapheme → Segment map over a fixed feature list."""
 
-    def __init__(self, feature_names: Sequence[str], rows: Iterable[tuple[str, FeatureVector]]):
+    def __init__(self, feature_names: Sequence[str], rows: Iterable[tuple[str, FeatureVector]],
+                 source: str = "inventory"):
+        self.source = source  # what unknown-segment errors say the segment is missing from
         names = tuple(feature_names)
         if len(set(names)) != len(names):
             raise InputError("duplicate feature names in table header")
@@ -106,7 +109,7 @@ class Inventory:
         try:
             return self._segments[grapheme]
         except KeyError:
-            raise UnknownSegmentError(grapheme) from None
+            raise UnknownSegmentError(grapheme, self.source) from None
 
     def parse(self, word: str) -> tuple[Segment, ...]:
         """Tokenize an IPA string into segments, greedy leftmost-longest."""
@@ -127,13 +130,15 @@ def tokenize(
 ) -> list[str]:
     """Greedy leftmost-longest segmentation of `word` over `graphemes`.
 
-    Raises TokenizeError (with the offending offset) when no grapheme matches
-    at some position. Deterministic for a fixed grapheme set.
+    A set or mapping of graphemes is probed as it is; another iterable is
+    copied into a set first. Raises TokenizeError (with the offending offset)
+    when no grapheme matches at some position. Deterministic for a fixed
+    grapheme set.
     """
     word = unicodedata.normalize("NFC", word.strip())
     if not word:
         raise InputError("empty word")
-    table = graphemes if isinstance(graphemes, dict) else set(graphemes)
+    table = graphemes if isinstance(graphemes, (Set, Mapping)) else set(graphemes)
     if lengths is None:
         lengths = sorted({len(g) for g in table}, reverse=True)
     tokens: list[str] = []
@@ -201,4 +206,4 @@ def load_feature_table(source: str | Path | TextIO) -> Inventory:
                 )
         parsed.append((grapheme, tuple(values)))
 
-    return Inventory(names, parsed)
+    return Inventory(names, parsed, str(source) if isinstance(source, (str, Path)) else "inventory")

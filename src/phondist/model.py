@@ -37,7 +37,7 @@ from typing import TextIO
 import numpy as np
 
 from . import textio
-from .errors import InputError, NumericalError, PhondistError
+from .errors import InputError, NumericalError
 from .features import Inventory, Segment, fingerprint_features
 from .seed import SeedDataset
 
@@ -48,8 +48,8 @@ DEFAULT_LAMBDA = 1e-4
 _RCOND = 1e-12
 
 
-class FingerprintError(PhondistError):
-    """Model and segments belong to different feature systems."""
+class FingerprintError(InputError):
+    """Model and segments belong to different feature systems (an input mismatch, exit 2)."""
 
 
 @dataclass(frozen=True)

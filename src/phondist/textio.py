@@ -4,8 +4,9 @@ Every file the package reads or writes is UTF-8 text, given either as a path
 or as an already-open handle. Line-oriented formats (feature tables, matrices,
 word lists) skip blank lines and lines whose first non-blank character is "#";
 CSV formats skip empty rows and rows whose first cell starts with "#". A file
-that is not valid UTF-8, CSV or JSON raises InputError with one message naming
-the file, so callers report it like any other input error.
+that is not valid UTF-8, CSV or JSON raises InputError with a one-line
+message, so callers report it like any other input error; the CLI puts the
+file's name in front of it, as it does for every input error a file causes.
 """
 
 import csv
@@ -40,8 +41,7 @@ def _parse(source: str | Path | TextIO, parse: Callable[[TextIO], T], newline: s
         problem = "malformed JSON (nested too deeply)"
     except csv.Error as exc:
         problem = f"malformed CSV ({exc})"
-    name = source if isinstance(source, (str, Path)) else getattr(source, "name", "<stream>")
-    raise InputError(f"{name}: {problem}")
+    raise InputError(problem)
 
 
 def read_lines(source: str | Path | TextIO) -> list[str]:

@@ -1,18 +1,26 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately brute-force or textbook-closed-form and
-shares no code with the implementation under test:
+shares no code with the implementation under test, except where noted:
 
 - alignment scores by recursive enumeration of all alignments (global) and
   of all substring pairs (local),
 - least squares / ridge through the explicit normal equations,
 - symmetric eigendecomposition by cyclic Jacobi rotations,
-- tokenization by exhaustive segmentation search.
+- tokenization by exhaustive segmentation search,
+- global and local alignment by the full-table loops the package used before
+  its single rolling-row kernel. They share with the package only the
+  scoring helpers `similarity`, `gap_score` and `tokens_for`, and serve as
+  the reference for columns and tie-breaks, which the enumerations above do
+  not check.
 """
 
 import math
+from typing import Sequence
 
 import numpy as np
+
+from phondist.align import Alignment, Column, ScoringScheme, gap_score, similarity, tokens_for
 
 
 def enumerate_global_score(left, right, sim, gap):
@@ -142,3 +150,100 @@ def leftmost_longest(segmentations):
     greatest, i.e. the one a greedy longest-match scan produces when it never
     dead-ends."""
     return max(segmentations, key=lambda seg: [len(t) for t in seg])
+
+
+def global_align(s: ScoringScheme, left: "str | Sequence[str]", right: "str | Sequence[str]") -> Alignment:
+    """Optimal global alignment (maximum total column score)."""
+    lt = tokens_for(s, left)
+    rt = tokens_for(s, right)
+    n, m = len(lt), len(rt)
+    gaps_l = [gap_score(s, t) for t in lt]
+    gaps_r = [gap_score(s, t) for t in rt]
+
+    score = [[0.0] * (m + 1) for _ in range(n + 1)]
+    # 0 = diagonal, 1 = up (left token vs gap), 2 = left (gap vs right token)
+    move = [[-1] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        score[i][0] = score[i - 1][0] + gaps_l[i - 1]
+        move[i][0] = 1
+    for j in range(1, m + 1):
+        score[0][j] = score[0][j - 1] + gaps_r[j - 1]
+        move[0][j] = 2
+    for i in range(1, n + 1):
+        row = score[i]
+        prev = score[i - 1]
+        for j in range(1, m + 1):
+            diag = prev[j - 1] + similarity(s, lt[i - 1], rt[j - 1])
+            up = prev[j] + gaps_l[i - 1]
+            lft = row[j - 1] + gaps_r[j - 1]
+            best, which = diag, 0
+            if up > best:
+                best, which = up, 1
+            if lft > best:
+                best, which = lft, 2
+            row[j] = best
+            move[i][j] = which
+
+    columns: list[Column] = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        which = move[i][j]
+        if which == 0:
+            columns.append((lt[i - 1], rt[j - 1]))
+            i -= 1
+            j -= 1
+        elif which == 1:
+            columns.append((lt[i - 1], None))
+            i -= 1
+        else:
+            columns.append((None, rt[j - 1]))
+            j -= 1
+    columns.reverse()
+    return Alignment(tuple(columns), score[n][m])
+
+
+def local_align(s: ScoringScheme, left: "str | Sequence[str]", right: "str | Sequence[str]") -> Alignment:
+    """Best contiguous sub-alignment, floored at score 0 (may be empty)."""
+    lt = tokens_for(s, left)
+    rt = tokens_for(s, right)
+    n, m = len(lt), len(rt)
+    gaps_l = [gap_score(s, t) for t in lt]
+    gaps_r = [gap_score(s, t) for t in rt]
+
+    score = [[0.0] * (m + 1) for _ in range(n + 1)]
+    # -1 = restart (score floored at 0), otherwise as in global_align
+    move = [[-1] * (m + 1) for _ in range(n + 1)]
+    best_score, best_cell = 0.0, (0, 0)
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            diag = score[i - 1][j - 1] + similarity(s, lt[i - 1], rt[j - 1])
+            up = score[i - 1][j] + gaps_l[i - 1]
+            lft = score[i][j - 1] + gaps_r[j - 1]
+            best, which = 0.0, -1
+            if diag > best:
+                best, which = diag, 0
+            if up > best:
+                best, which = up, 1
+            if lft > best:
+                best, which = lft, 2
+            score[i][j] = best
+            move[i][j] = which
+            if best > best_score:
+                best_score, best_cell = best, (i, j)
+
+    columns: list[Column] = []
+    i, j = best_cell
+    while move[i][j] != -1:
+        which = move[i][j]
+        if which == 0:
+            columns.append((lt[i - 1], rt[j - 1]))
+            i -= 1
+            j -= 1
+        elif which == 1:
+            columns.append((lt[i - 1], None))
+            i -= 1
+        else:
+            columns.append((None, rt[j - 1]))
+            j -= 1
+    columns.reverse()
+    return Alignment(tuple(columns), best_score)

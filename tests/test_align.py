@@ -58,6 +58,14 @@ class TestScoringScheme:
         with pytest.raises(InputError, match="∅"):
             ScoringScheme(matrix=fixture_matrix, gap_mode="null_column")
 
+    def test_non_finite_sigma_or_gap(self, fixture_matrix):
+        for value in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(InputError, match="finite"):
+                ScoringScheme(matrix=fixture_matrix, gap_constant=value)
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(InputError, match="finite"):
+                ScoringScheme(matrix=fixture_matrix, sigma=value)
+
 
 class TestSimilarity:
     def test_identity_pair(self, scheme):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +115,21 @@ class TestMatrix:
         code = run("matrix", "--model", str(fitted), "--features", DATA["features"],
                    "-o", "/nonexistent-dir/out.tsv")
         assert code == 2
+
+    def test_other_feature_system_exit_2(self, fitted, tmp_path, capsys):
+        # Renaming one feature column gives a valid table from another feature
+        # system: a mismatch between two input files, so exit 2 naming both.
+        lines = Path(DATA["features"]).read_text(encoding="utf-8").splitlines(keepends=True)
+        k = next(i for i, line in enumerate(lines) if line.startswith("segment\t"))
+        assert "\tlong\t" in lines[k]
+        lines[k] = lines[k].replace("\tlong\t", "\tlength\t")
+        features = tmp_path / "renamed.tsv"
+        features.write_text("".join(lines), encoding="utf-8")
+        code = run("matrix", "--model", str(fitted), "--features", str(features),
+                   "-o", str(tmp_path / "out.tsv"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "feature system" in err and str(features) in err and str(fitted) in err
 
 
 class TestDistance:
