@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .errors import InputError
+from .errors import InputError, UnknownSegmentError
 from .features import NULL_GRAPHEME, tokenize
 from .matrix import DistanceMatrix
 
@@ -55,15 +55,14 @@ class ScoringScheme:
         if not math.isfinite(self.gap_constant):
             raise InputError(f"gap score must be finite, got {self.gap_constant}")
         # The kernel's tables, by matrix index: similarity rows, gap scores,
-        # and the grapheme index and lengths the tokenizer probes.
+        # and the grapheme index (the matrix's own) and lengths the tokenizer probes.
         sim = self.sigma * (self.center - self.matrix.values)
         gaps = ([self.gap_constant] * len(self.matrix) if self.gap_mode == "constant"
                 else sim[:, self.matrix.index(NULL_GRAPHEME)].tolist())
-        segments = self.matrix.segments
         object.__setattr__(self, "_sim", sim.tolist())
         object.__setattr__(self, "_gaps", gaps)
-        object.__setattr__(self, "_index", {g: i for i, g in enumerate(segments)})
-        object.__setattr__(self, "_lengths", sorted({len(g) for g in segments}, reverse=True))
+        object.__setattr__(self, "_index", self.matrix._index)
+        object.__setattr__(self, "_lengths", sorted({len(g) for g in self.matrix.segments}, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -99,36 +98,39 @@ def gap_score(s: ScoringScheme, x: str) -> float:
 
 
 def tokens_for(s: ScoringScheme, word: "str | Sequence[str]") -> list[str]:
-    """Tokenize a word against the matrix graphemes (lists pass through).
-
-    Empty input maps to the empty token list, which the aligners accept (it
-    forces an all-gap alignment).
-    """
-    if isinstance(word, str):
-        word = word.strip()
-        return tokenize(word, s._index, s._lengths) if word else []
-    toks = list(word)
-    for t in toks:
-        s.matrix.index(t)  # raises for unknown tokens
-    return toks
+    """Tokenize a word against the matrix graphemes (a token list is checked)."""
+    return [s.matrix.segments[k] for k in _indices(s, word)]
 
 
 def global_align(s: ScoringScheme, left: "str | Sequence[str]", right: "str | Sequence[str]") -> Alignment:
     """Optimal global alignment (maximum total column score)."""
-    return _align(s, tokens_for(s, left), tokens_for(s, right), local=False)
+    return _align(s, _indices(s, left), _indices(s, right), local=False)
 
 
 def local_align(s: ScoringScheme, left: "str | Sequence[str]", right: "str | Sequence[str]") -> Alignment:
     """Best contiguous sub-alignment, floored at score 0 (may be empty)."""
-    return _align(s, tokens_for(s, left), tokens_for(s, right), local=True)
+    return _align(s, _indices(s, left), _indices(s, right), local=True)
 
 
-def _align(s: ScoringScheme, lt: list[str], rt: list[str], local: bool) -> Alignment:
+def _indices(s: ScoringScheme, word: "str | Sequence[str]") -> list[int]:
+    """Matrix indices of a word's tokens: one lookup per token; unknown tokens raise.
+
+    Empty input maps to no tokens, which the aligners accept (it forces an
+    all-gap alignment).
+    """
+    if isinstance(word, str):
+        word = word.strip()
+        word = tokenize(word, s._index, s._lengths) if word else []
+    try:
+        return [s._index[t] for t in word]
+    except KeyError as exc:
+        raise UnknownSegmentError(exc.args[0], where="matrix") from None
+
+
+def _align(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> Alignment:
     """The dynamic program behind both aligners. A cell takes the first best of
     the diagonal, up (left token vs gap) and left (gap vs right token) moves;
     in local mode a cell not above 0 is floored at 0, where an alignment starts."""
-    li = [s._index[t] for t in lt]
-    ri = [s._index[t] for t in rt]
     n, m = len(li), len(ri)
     gl = [s._gaps[k] for k in li]
     gr = [s._gaps[k] for k in ri]
@@ -161,18 +163,19 @@ def _align(s: ScoringScheme, lt: list[str], rt: list[str], local: bool) -> Align
             best_score, best_cell = top, (i + 1, row.index(top))
 
     i, j = best_cell if local else (n, m)
+    seg = s.matrix.segments
     columns: list[Column] = []
     while (which := moves[i][j]) != _STOP:
         if which == _DIAG:
             i -= 1
             j -= 1
-            columns.append((lt[i], rt[j]))
+            columns.append((seg[li[i]], seg[ri[j]]))
         elif which == _UP:
             i -= 1
-            columns.append((lt[i], None))
+            columns.append((seg[li[i]], None))
         else:
             j -= 1
-            columns.append((None, rt[j]))
+            columns.append((None, seg[ri[j]]))
     columns.reverse()
     return Alignment(tuple(columns), best_score if local else prev[m])
 

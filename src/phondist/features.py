@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
 
+import numpy as np
+
 from . import textio
 from .errors import InputError, TokenizeError, UnknownSegmentError
 
@@ -40,7 +42,6 @@ class Segment:
 
     grapheme: str
     features: FeatureVector
-    is_null: bool = False
     system_fingerprint: str = ""
 
     def __repr__(self) -> str:
@@ -70,7 +71,6 @@ class Inventory:
             segments[grapheme] = Segment(
                 grapheme=grapheme,
                 features=tuple(values),
-                is_null=(grapheme == NULL_GRAPHEME),
                 system_fingerprint=self.fingerprint,
             )
         if not segments:
@@ -79,10 +79,11 @@ class Inventory:
             segments[NULL_GRAPHEME] = Segment(
                 grapheme=NULL_GRAPHEME,
                 features=(False,) * len(names),
-                is_null=True,
                 system_fingerprint=self.fingerprint,
             )
         self._segments = segments
+        self._rows = {g: i for i, g in enumerate(segments)}
+        self._features = np.array([s.features for s in segments.values()], dtype=bool)
         # Longest grapheme first makes the greedy tokenizer's probe order cheap.
         self._lengths = sorted({len(g) for g in segments}, reverse=True)
 
@@ -101,15 +102,19 @@ class Inventory:
     def __len__(self) -> int:
         return len(self._segments)
 
-    def __contains__(self, grapheme: str) -> bool:
-        return grapheme in self._segments
-
     def get_segment(self, grapheme: str) -> Segment:
         """Look up one segment; unknown graphemes raise UnknownSegmentError."""
         try:
             return self._segments[grapheme]
         except KeyError:
             raise UnknownSegmentError(grapheme, self.source) from None
+
+    def feature_rows(self, graphemes: Iterable[str]) -> np.ndarray:
+        """Boolean (k, F) array of the segments' feature values, one row per grapheme."""
+        try:
+            return self._features[[self._rows[g] for g in graphemes]]
+        except KeyError as exc:
+            raise UnknownSegmentError(exc.args[0], self.source) from None
 
     def parse(self, word: str) -> tuple[Segment, ...]:
         """Tokenize an IPA string into segments, greedy leftmost-longest."""

@@ -22,7 +22,8 @@ import numpy as np
 from . import textio
 from .errors import InputError, UnknownSegmentError
 from .features import Inventory
-from .model import LinearModel, predict_distance
+# predict_distance is unused here: perfbench/worker.py (traced_targets) patches matrix.predict_distance.
+from .model import FingerprintError, LinearModel, encode_pairs, predict_distance, predict_rows
 
 _SYMMETRY_TOL = 1e-9
 
@@ -76,20 +77,20 @@ class PcaResult:
 def build_matrix(m: LinearModel, inv: Inventory, include_null: bool = False) -> DistanceMatrix:
     """Materialize all pairwise model distances over an inventory.
 
-    Each unordered pair is predicted once and mirrored, so symmetry is exact
-    regardless of floating-point details.
+    The fingerprint is checked once; the upper-triangle pairs are encoded and
+    predicted in one call each and mirrored, so symmetry is exact regardless
+    of floating-point details.
     """
+    if m.feature_fingerprint != inv.fingerprint:
+        raise FingerprintError("inventory does not belong to the model's feature system")
     segments = [s for s in inv.graphemes if s != inv.null_segment.grapheme]
     if include_null:
         segments.append(inv.null_segment.grapheme)
     n = len(segments)
     values = np.zeros((n, n))
-    resolved = [inv.get_segment(g) for g in segments]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = predict_distance(m, resolved[i], resolved[j])
-            values[i, j] = d
-            values[j, i] = d
+    rows = inv.feature_rows(segments)
+    i, j = np.triu_indices(n, k=1)
+    values[i, j] = values[j, i] = predict_rows(m, encode_pairs(rows[i], rows[j]))
     return DistanceMatrix(segments, values)
 
 

@@ -23,7 +23,10 @@ lambda = 0 the same route degenerates to the pseudoinverse, i.e. plain OLS on
 well-conditioned data.
 
 Predicted distances are clamped to the dimensionless [0, 1] scale and a
-segment's distance to itself is 0 by definition, not by training.
+segment's distance to itself is 0 by definition, not by training. The encoding
+(`encode_pairs`) and the prediction (`predict_rows`) each live in one function;
+build_matrix checks the feature-system fingerprint once per inventory,
+encode_pair and predict_distance once per segment.
 
 Models are saved and loaded as UTF-8 JSON through textio.
 """
@@ -68,6 +71,11 @@ class LinearModel:
         )
 
 
+def encode_pairs(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """Design rows (k, 2F) for k segment pairs given as boolean (k, F) feature rows."""
+    return np.concatenate([fa & fb, ~fa & ~fb], axis=1).astype(float)
+
+
 def encode_pair(a: Segment, b: Segment) -> np.ndarray:
     """Symmetric 2F predictor vector for one segment pair."""
     if len(a.features) != len(b.features):
@@ -79,9 +87,15 @@ def encode_pair(a: Segment, b: Segment) -> np.ndarray:
         raise FingerprintError(
             f"segments {a.grapheme!r} and {b.grapheme!r} come from different feature systems"
         )
-    fa = np.asarray(a.features, dtype=bool)
-    fb = np.asarray(b.features, dtype=bool)
-    return np.concatenate([fa & fb, ~fa & ~fb]).astype(float)
+    return encode_pairs(np.array([a.features], dtype=bool), np.array([b.features], dtype=bool))[0]
+
+
+def predict_rows(m: LinearModel, X: np.ndarray) -> np.ndarray:
+    """Clamped distances for design rows X. Each row is one BLAS dot: a matrix
+    product sums in another order, moving entries by up to ~2e-15 and the
+    alignment scores computed from them in their last bits."""
+    w = np.asarray(m.coefficients)
+    return np.array([min(1.0, max(0.0, m.intercept + float(x @ w))) for x in X])
 
 
 def fit(ds: SeedDataset, inv: Inventory, lam: float = DEFAULT_LAMBDA) -> LinearModel:
@@ -92,14 +106,9 @@ def fit(ds: SeedDataset, inv: Inventory, lam: float = DEFAULT_LAMBDA) -> LinearM
     if len(records) < 2:
         raise InputError(f"need at least 2 records to fit, got {len(records)}")
 
-    rows = []
-    y = np.empty(len(records))
-    for i, rec in enumerate(records):
-        seg_a = inv.get_segment(rec.seg_a)
-        seg_b = inv.get_segment(rec.seg_b)
-        rows.append(encode_pair(seg_a, seg_b))
-        y[i] = rec.score
-    X = np.vstack(rows)
+    X = encode_pairs(inv.feature_rows([r.seg_a for r in records]),
+                     inv.feature_rows([r.seg_b for r in records]))
+    y = np.array([r.score for r in records], dtype=float)
 
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
@@ -147,8 +156,7 @@ def predict_distance(m: LinearModel, a: Segment, b: Segment) -> float:
             )
     if a.grapheme == b.grapheme:
         return 0.0
-    raw = m.intercept + float(encode_pair(a, b) @ np.asarray(m.coefficients))
-    return min(1.0, max(0.0, raw))
+    return float(predict_rows(m, encode_pair(a, b)[None])[0])
 
 
 def save_model(m: LinearModel, sink: str | Path | TextIO) -> None:

@@ -21,7 +21,7 @@ raises InputError.
 
 import math
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -30,16 +30,6 @@ from .errors import InputError
 from .features import Inventory
 
 PairKey = tuple[str, str]
-
-# Correspondence bundles expected by derive_deltas, keyed as in the JSON
-# config file.
-BUNDLE_NAMES = (
-    "stop_affricate",
-    "stop_fricative",
-    "stop_ejective",
-    "flap_trill",
-    "atr_proximity",
-)
 
 
 @dataclass(frozen=True)
@@ -66,22 +56,25 @@ class DeltaSet:
     rtr_delta: float
 
     def __post_init__(self):
-        for name in ("nonpulmonic_central", "nonpulmonic_implosive",
-                     "nonpulmonic_ejective_half", "long_delta", "atr_delta", "rtr_delta"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not 0.0 <= value <= 1.0:
-                raise InputError(f"delta {name} = {value} outside [0, 1]")
+                raise InputError(f"delta {f.name} = {value} outside [0, 1]")
 
 
 @dataclass(frozen=True)
 class DeltaBundles:
-    """Correspondence pair lists from which the deltas are measured."""
+    """Correspondence pair lists from which the deltas are measured, named as
+    in the JSON config file."""
 
     stop_affricate: tuple[PairKey, ...]
     stop_fricative: tuple[PairKey, ...]
     stop_ejective: tuple[PairKey, ...]
     flap_trill: tuple[PairKey, ...]
     atr_proximity: tuple[PairKey, ...]
+
+
+BUNDLE_NAMES = tuple(f.name for f in fields(DeltaBundles))
 
 
 @dataclass(frozen=True)
@@ -119,9 +112,6 @@ class SeedDataset:
     def __len__(self) -> int:
         return len(self._by_key)
 
-    def __contains__(self, pair: PairKey) -> bool:
-        return pair_key(*pair) in self._by_key
-
     def get(self, seg_a: str, seg_b: str) -> SimilarityRecord:
         key = pair_key(seg_a, seg_b)
         try:
@@ -143,17 +133,13 @@ def load_seed_matrix(source: str | Path | TextIO, inv: Inventory) -> SeedDataset
 
     Repeated unordered pairs (including symmetric duplicates) are averaged.
     """
-    rows = _read_score_rows(source)
+    rows = _read_score_rows(source, inv, "seed pair")
     if not rows:
         raise InputError("seed matrix is empty")
     sums: dict[PairKey, float] = {}
     counts: dict[PairKey, int] = {}
     first_seen: dict[PairKey, tuple[str, str]] = {}
     for seg_a, seg_b, score in rows:
-        inv.get_segment(seg_a)
-        inv.get_segment(seg_b)
-        if seg_a == seg_b:
-            raise InputError(f"seed pair compares {seg_a!r} with itself")
         key = pair_key(seg_a, seg_b)
         sums[key] = sums.get(key, 0.0) + score
         counts[key] = counts.get(key, 0) + 1
@@ -266,12 +252,10 @@ def augment_with_deltas(
 
 def apply_adjustments(ds: SeedDataset, source: str | Path | TextIO) -> SeedDataset:
     """Apply manual overrides; adjustment records win over any earlier record."""
-    rows = _read_score_rows(source)
+    rows = _read_score_rows(source, ds.inventory, "adjustment")
     merged = {rec.key: rec for rec in ds.records}
     seen: dict[PairKey, float] = {}
     for seg_a, seg_b, score in rows:
-        ds.inventory.get_segment(seg_a)
-        ds.inventory.get_segment(seg_b)
         if not 0.0 <= score <= 1.0:
             raise InputError(
                 f"adjustment ({seg_a}, {seg_b}) has score {score}, outside [0, 1]"
@@ -332,17 +316,22 @@ def _nfc(text: str) -> str:
     return unicodedata.normalize("NFC", text.strip())
 
 
-def _read_score_rows(source: str | Path | TextIO) -> list[tuple[str, str, float]]:
+def _read_score_rows(source: str | Path | TextIO, inv: Inventory, what: str) -> list[tuple[str, str, float]]:
+    """(seg_a, seg_b, score) rows of two different segments of inv; `what` names a row in errors."""
     rows = []
     for lineno, row in textio.read_csv(source):
         if len(row) != 3:
             raise InputError(f"row {lineno}: expected 3 columns, got {len(row)}")
-        seg_a, seg_b, raw_score = (cell.strip() for cell in row)
+        seg_a, seg_b, raw_score = _nfc(row[0]), _nfc(row[1]), row[2].strip()
         try:
             score = float(raw_score)
         except ValueError:
             raise InputError(f"row {lineno}: non-numeric score {raw_score!r}") from None
         if not math.isfinite(score):
             raise InputError(f"row {lineno}: non-finite score {raw_score!r}")
-        rows.append((_nfc(seg_a), _nfc(seg_b), score))
+        inv.get_segment(seg_a)
+        inv.get_segment(seg_b)
+        if seg_a == seg_b:
+            raise InputError(f"{what} compares {seg_a!r} with itself")
+        rows.append((seg_a, seg_b, score))
     return rows

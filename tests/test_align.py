@@ -15,7 +15,7 @@ from phondist.align import (
     similarity,
     tokens_for,
 )
-from phondist.errors import InputError
+from phondist.errors import InputError, UnknownSegmentError
 from phondist.matrix import DistanceMatrix
 
 from oracles import enumerate_global_score, enumerate_local_score
@@ -174,6 +174,13 @@ class TestGlobalAlign:
     def test_unknown_token_errors(self, scheme):
         with pytest.raises(InputError):
             pd.global_align(scheme, "aq", "a")
+
+    @pytest.mark.parametrize("aligner", [pd.global_align, pd.local_align])
+    def test_unknown_token_in_list_errors(self, scheme, aligner):
+        with pytest.raises(UnknownSegmentError, match="'q'"):
+            aligner(scheme, ["a", "q"], ["a"])
+        with pytest.raises(UnknownSegmentError, match="'q'"):
+            aligner(scheme, ["a"], ["q"])
 
 
 class TestLocalAlign:

@@ -84,6 +84,15 @@ class TestFit:
         assert code == 2
         assert "lambda" in capsys.readouterr().err
 
+    def test_self_pair_adjustment_exit_2(self, tmp_path, capsys):
+        adjustments = tmp_path / "adjustments.csv"
+        adjustments.write_text("p,p,0.3\n", encoding="utf-8")
+        code = run("fit", "--features", DATA["features"], "--seed", DATA["seed"],
+                   "--adjustments", str(adjustments), "-o", str(tmp_path / "m.json"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "itself" in err and str(adjustments) in err
+
     def test_templates_without_bundles_exit_2(self, tmp_path):
         code = run("fit", "--features", DATA["features"], "--seed", DATA["seed"],
                    "--templates", DATA["templates"], "-o", str(tmp_path / "m.json"))

@@ -44,7 +44,7 @@ class TestLoadFeatureTable:
     def test_null_segment_appended_all_false(self):
         inv = small_inventory()
         null = inv.null_segment
-        assert null.is_null
+        assert null.grapheme == pd.features.NULL_GRAPHEME
         assert null.grapheme == "∅"
         assert null.features == (False, False, False)
 
@@ -80,7 +80,7 @@ class TestGetSegment:
 
     def test_null_lookup(self):
         inv = small_inventory()
-        assert inv.get_segment("∅").is_null
+        assert inv.get_segment("∅") is inv.null_segment
 
     def test_missing_carries_grapheme(self):
         inv = small_inventory()

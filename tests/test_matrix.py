@@ -79,36 +79,20 @@ class TestBuildMatrix:
                 demo_model, demo_inventory.get_segment(a), demo_inventory.get_segment(b)
             )
             assert demo_matrix.get(a, b) == expected
+        # Every ordered pair, bit for bit: build_matrix's array path agrees with
+        # the one-pair view predict_distance, signed zeros included.
+        for include_null in (False, True):
+            dm = pd.build_matrix(demo_model, demo_inventory, include_null=include_null)
+            segments = [demo_inventory.get_segment(g) for g in dm.segments]
+            expected = np.array([[pd.predict_distance(demo_model, a, b) for b in segments]
+                                 for a in segments])
+            assert dm.values.tobytes() == expected.tobytes()
 
     def test_fingerprint_mismatch_propagates(self, demo_model):
         from conftest import mini_inventory
 
         with pytest.raises(pd.model.FingerprintError):
             pd.build_matrix(demo_model, mini_inventory())
-
-    def test_each_pair_predicted_once(self, monkeypatch):
-        import phondist.matrix as matrix_mod
-
-        rows = "\n".join(f"g{i}\t{'+' if i % 2 else '-'}" for i in range(10))
-        inv = pd.load_feature_table(io.StringIO(f"segment\tvoice\n{rows}\n"))
-        model = pd.model.LinearModel(
-            intercept=0.5,
-            coefficients=(0.0, 0.0),
-            lam=0.0,
-            feature_names=inv.feature_names,
-            feature_fingerprint=inv.fingerprint,
-        )
-        calls = []
-        real = matrix_mod.predict_distance
-
-        def counting(m, a, b):
-            calls.append((a.grapheme, b.grapheme))
-            return real(m, a, b)
-
-        monkeypatch.setattr(matrix_mod, "predict_distance", counting)
-        dm = pd.build_matrix(model, inv)
-        assert len(dm) == 10
-        assert len(calls) == 45  # one prediction per unordered pair, mirrored
 
 
 class TestLoadReferenceMatrix:

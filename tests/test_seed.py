@@ -234,6 +234,10 @@ class TestApplyAdjustments:
         with pytest.raises(InputError, match="outside"):
             pd.apply_adjustments(mini_normalized(), io.StringIO("s,m,1.2\n"))
 
+    def test_self_pair_errors(self):
+        with pytest.raises(InputError, match="itself"):
+            pd.apply_adjustments(mini_normalized(), io.StringIO("s,s,0.3\n"))
+
     def test_conflicting_duplicates_error(self):
         with pytest.raises(InputError, match="conflicting"):
             pd.apply_adjustments(mini_normalized(), io.StringIO("s,m,0.9\ns,m,0.8\n"))
