@@ -224,8 +224,8 @@ def format_cognancy_tsv(cm: CognancyMatrix, threshold: float | None = None, head
     return "\n".join(out) + "\n"
 
 
-def format_alignment(alignment: Alignment, gap_symbol: str = "-") -> str:
-    """Two space-separated rows, gaps rendered with `gap_symbol`."""
-    left = " ".join(t if t is not None else gap_symbol for t in alignment.left_row)
-    right = " ".join(t if t is not None else gap_symbol for t in alignment.right_row)
+def format_alignment(alignment: Alignment) -> str:
+    """Two space-separated rows, gaps rendered as "-"."""
+    left = " ".join(t if t is not None else "-" for t in alignment.left_row)
+    right = " ".join(t if t is not None else "-" for t in alignment.right_row)
     return f"{left}\n{right}"

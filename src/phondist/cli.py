@@ -9,7 +9,7 @@ Subcommands compose through files so a full run is scriptable:
     phondist cognates --matrix matrix.tsv --words list.txt
     phondist pca --matrix matrix.tsv -k 2 --format svg -o scatter.svg
 
-Exit codes: 0 success, 1 internal/numerical failure, 2 usage or input error.
+Exit codes: 0 success, 1 internal failure only, 2 usage or input error.
 """
 
 import argparse
@@ -126,6 +126,11 @@ def _naming(*paths: str):
         raise InputError(f"{', '.join(paths)}: {exc}") from exc
 
 
+def _load(path: str, loader, *args):
+    with _naming(path):
+        return loader(path, *args)
+
+
 def _params_header(**params) -> str:
     rendered = " ".join(f"{k}={v}" for k, v in params.items())
     return f"phondist {__version__} {rendered}"
@@ -134,15 +139,12 @@ def _params_header(**params) -> str:
 def cmd_fit(args) -> int:
     if args.templates and not args.bundles:
         raise InputError("--templates requires --bundles for the delta pair lists")
-    with _naming(args.features):
-        inv = load_feature_table(args.features)
+    inv = _load(args.features, load_feature_table)
     with _naming(args.seed):
         ds = normalize_scores(load_seed_matrix(args.seed, inv))
     if args.templates:
-        with _naming(args.bundles):
-            bundles = load_delta_bundles(args.bundles)
-        with _naming(args.templates):
-            templates = load_templates(args.templates)
+        bundles = _load(args.bundles, load_delta_bundles)
+        templates = _load(args.templates, load_templates)
         with _naming(args.seed, args.bundles, args.templates):
             ds = augment_with_deltas(ds, derive_deltas(ds, bundles), inv, templates)
     if args.adjustments:
@@ -162,10 +164,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    with _naming(args.features):
-        inv = load_feature_table(args.features)
-    with _naming(args.model):
-        model = load_model(args.model)
+    inv = _load(args.features, load_feature_table)
+    model = _load(args.model, load_model)
     with _naming(args.features, args.model):
         dm = build_matrix(model, inv, include_null=args.include_null)
     header = _params_header(model=args.model, include_null=args.include_null)
@@ -174,16 +174,18 @@ def cmd_matrix(args) -> int:
     return 0
 
 
+def _matrix(args):
+    return _load(args.matrix, load_reference_matrix)
+
+
 def cmd_distance(args) -> int:
-    with _naming(args.matrix):
-        dm = load_reference_matrix(args.matrix)
-    print(f"{dm.get(args.seg_a, args.seg_b):.2f}")
+    print(f"{_matrix(args).get(args.seg_a, args.seg_b):.2f}")
     return 0
 
 
-def _scheme(args, dm) -> ScoringScheme:
+def _scheme(args) -> ScoringScheme:
     return ScoringScheme(
-        matrix=dm,
+        matrix=_matrix(args),
         sigma=args.sigma,
         center=args.center,
         gap_mode="null_column" if args.null_gaps else "constant",
@@ -192,20 +194,15 @@ def _scheme(args, dm) -> ScoringScheme:
 
 
 def cmd_align(args) -> int:
-    with _naming(args.matrix):
-        dm = load_reference_matrix(args.matrix)
-    scheme = _scheme(args, dm)
     aligner = global_align if args.mode == "global" else local_align
-    alignment = aligner(scheme, args.word1, args.word2)
+    alignment = aligner(_scheme(args), args.word1, args.word2)
     print(format_alignment(alignment))
     print(f"score: {alignment.score:+.2f}")
     return 0
 
 
 def cmd_cognates(args) -> int:
-    with _naming(args.matrix):
-        dm = load_reference_matrix(args.matrix)
-    scheme = _scheme(args, dm)
+    scheme = _scheme(args)
     with _naming(args.words):
         words = [line.strip() for line in textio.read_lines(args.words)]
         cm = cognancy_matrix(scheme, words, args.mode)
@@ -218,9 +215,7 @@ def cmd_cognates(args) -> int:
 
 
 def cmd_pca(args) -> int:
-    with _naming(args.matrix):
-        dm = load_reference_matrix(args.matrix)
-    result = pca(dm, args.components)
+    result = pca(_matrix(args), args.components)
     header = _params_header(matrix=args.matrix, k=args.components)
     if args.format == "svg":
         export_pca_svg(result, args.out, header=header)

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: InputError and its subclasses are
-usage/input problems (exit 2), NumericalError signals a failed computation
-(exit 1).
+usage/input problems (exit 2); NumericalError, a failed computation that no
+checked input reaches, is an internal failure (exit 1).
 """
 
 

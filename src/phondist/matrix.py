@@ -23,7 +23,7 @@ from . import textio
 from .errors import InputError, UnknownSegmentError
 from .features import Inventory
 # predict_distance is unused here: perfbench/worker.py (traced_targets) patches matrix.predict_distance.
-from .model import FingerprintError, LinearModel, encode_pairs, predict_distance, predict_rows
+from .model import LinearModel, _same_system, encode_pairs, predict_distance, predict_rows
 
 _SYMMETRY_TOL = 1e-9
 
@@ -81,8 +81,7 @@ def build_matrix(m: LinearModel, inv: Inventory, include_null: bool = False) -> 
     predicted in one call each and mirrored, so symmetry is exact regardless
     of floating-point details.
     """
-    if m.feature_fingerprint != inv.fingerprint:
-        raise FingerprintError("inventory does not belong to the model's feature system")
+    _same_system("the model and the inventory", m.feature_fingerprint, inv.fingerprint)
     segments = [s for s in inv.graphemes if s != inv.null_segment.grapheme]
     if include_null:
         segments.append(inv.null_segment.grapheme)

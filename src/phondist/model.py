@@ -55,6 +55,12 @@ class FingerprintError(InputError):
     """Model and segments belong to different feature systems (an input mismatch, exit 2)."""
 
 
+def _same_system(what: str, *fingerprints: str) -> None:
+    """The one feature-system check: `what` must share a single fingerprint."""
+    if len(set(fingerprints)) > 1:
+        raise FingerprintError(f"{what} come from different feature systems")
+
+
 @dataclass(frozen=True)
 class LinearModel:
     intercept: float
@@ -83,10 +89,7 @@ def encode_pair(a: Segment, b: Segment) -> np.ndarray:
             f"feature width mismatch: {a.grapheme!r} has {len(a.features)}, "
             f"{b.grapheme!r} has {len(b.features)}"
         )
-    if a.system_fingerprint != b.system_fingerprint:
-        raise FingerprintError(
-            f"segments {a.grapheme!r} and {b.grapheme!r} come from different feature systems"
-        )
+    _same_system(f"segments {a.grapheme!r} and {b.grapheme!r}", a.system_fingerprint, b.system_fingerprint)
     return encode_pairs(np.array([a.features], dtype=bool), np.array([b.features], dtype=bool))[0]
 
 
@@ -100,8 +103,8 @@ def predict_rows(m: LinearModel, X: np.ndarray) -> np.ndarray:
 
 def fit(ds: SeedDataset, inv: Inventory, lam: float = DEFAULT_LAMBDA) -> LinearModel:
     """Fit the distance model on a (normalized, augmented) dataset."""
-    if lam < 0:
-        raise InputError(f"lambda must be >= 0, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise InputError(f"lambda must be finite and >= 0, got {lam}")
     records = ds.records
     if len(records) < 2:
         raise InputError(f"need at least 2 records to fit, got {len(records)}")
@@ -149,11 +152,8 @@ def fit(ds: SeedDataset, inv: Inventory, lam: float = DEFAULT_LAMBDA) -> LinearM
 
 def predict_distance(m: LinearModel, a: Segment, b: Segment) -> float:
     """Clamped dimensionless distance between two segments (0 for a == a)."""
-    for seg in (a, b):
-        if seg.system_fingerprint != m.feature_fingerprint:
-            raise FingerprintError(
-                f"segment {seg.grapheme!r} does not belong to the model's feature system"
-            )
+    _same_system(f"the model and segments {a.grapheme!r}, {b.grapheme!r}",
+                 m.feature_fingerprint, a.system_fingerprint, b.system_fingerprint)
     if a.grapheme == b.grapheme:
         return 0.0
     return float(predict_rows(m, encode_pair(a, b)[None])[0])

@@ -16,7 +16,7 @@ inventory, so after min-max normalization it is extended in two steps:
 Every stage returns a new SeedDataset; record provenance is tracked as
 "seed", "delta" or "adjustment". The seed, template and adjustment CSVs and
 the bundle JSON are read through textio; a bundle file of the wrong shape
-raises InputError.
+raises InputError. Records, datasets and template rules check their own data.
 """
 
 import math
@@ -38,6 +38,12 @@ class SimilarityRecord:
     seg_b: str
     score: float
     provenance: str = "seed"  # seed | delta | adjustment
+
+    def __post_init__(self):
+        if self.seg_a == self.seg_b:
+            raise InputError(f"{self.provenance} record compares {self.seg_a!r} with itself")
+        if not math.isfinite(self.score):
+            raise InputError(f"{self.provenance} record ({self.seg_a}, {self.seg_b}): non-finite score {self.score}")
 
     @property
     def key(self) -> PairKey:
@@ -76,6 +82,8 @@ class DeltaBundles:
 
 BUNDLE_NAMES = tuple(f.name for f in fields(DeltaBundles))
 
+DELTA_FIELDS = {f.name.removesuffix("_delta"): f.name for f in fields(DeltaSet)}
+
 
 @dataclass(frozen=True)
 class TemplateRule:
@@ -94,16 +102,22 @@ class TemplateRule:
     target_b: str
     sign: str = "+"
 
+    def __post_init__(self):
+        if self.delta_name != "fortis" and self.delta_name not in DELTA_FIELDS:
+            raise InputError(f"unknown delta name {self.delta_name!r}")
+        if self.sign not in ("+", "-"):
+            raise InputError(f"bad sign {self.sign!r}")
+
 
 class SeedDataset:
-    """Immutable collection of pairwise similarity records."""
+    """Immutable collection of pairwise similarity records over segments of one inventory."""
 
     def __init__(self, records: Iterable[SimilarityRecord], inventory: Inventory):
         self.inventory = inventory
-        by_key: dict[PairKey, SimilarityRecord] = {}
-        for rec in records:
-            by_key[rec.key] = rec
-        self._by_key = by_key
+        self._by_key = {rec.key: rec for rec in records}
+        for key in self._by_key:
+            for grapheme in key:
+                inventory.get_segment(grapheme)
 
     @property
     def records(self) -> list[SimilarityRecord]:
@@ -133,7 +147,7 @@ def load_seed_matrix(source: str | Path | TextIO, inv: Inventory) -> SeedDataset
 
     Repeated unordered pairs (including symmetric duplicates) are averaged.
     """
-    rows = _read_score_rows(source, inv, "seed pair")
+    rows = _read_score_rows(source)
     if not rows:
         raise InputError("seed matrix is empty")
     sums: dict[PairKey, float] = {}
@@ -160,6 +174,8 @@ def normalize_scores(ds: SeedDataset) -> SeedDataset:
     if hi == lo:
         raise InputError(f"cannot normalize: all {len(scores)} scores equal {lo}")
     span = hi - lo
+    if not math.isfinite(span):
+        raise InputError(f"cannot normalize: the score range {lo} to {hi} overflows")
     records = [replace(rec, score=(rec.score - lo) / span) for rec in ds.records]
     return SeedDataset(records, ds.inventory)
 
@@ -188,16 +204,6 @@ def derive_deltas(ds: SeedDataset, bundles: DeltaBundles) -> DeltaSet:
     )
 
 
-_DELTA_BY_NAME = {
-    "nonpulmonic_central": lambda d: d.nonpulmonic_central,
-    "nonpulmonic_implosive": lambda d: d.nonpulmonic_implosive,
-    "nonpulmonic_ejective_half": lambda d: d.nonpulmonic_ejective_half,
-    "long": lambda d: d.long_delta,
-    "atr": lambda d: d.atr_delta,
-    "rtr": lambda d: d.rtr_delta,
-}
-
-
 def augment_with_deltas(
     ds: SeedDataset,
     deltas: DeltaSet,
@@ -219,10 +225,6 @@ def augment_with_deltas(
         return merged[key].score
 
     for rule in templates:
-        for g in (rule.target_a, rule.target_b):
-            inv.get_segment(g)
-        if rule.target_a == rule.target_b:
-            raise InputError(f"template target compares {rule.target_a!r} with itself")
         key = pair_key(rule.target_a, rule.target_b)
         if key in merged:
             continue
@@ -231,20 +233,12 @@ def augment_with_deltas(
             voiced = lookup(rule.base_b, rule.target_b)
             score = (voiceless + voiced) / 2.0
         else:
-            try:
-                delta = _DELTA_BY_NAME[rule.delta_name](deltas)
-            except KeyError:
-                raise InputError(f"unknown delta name {rule.delta_name!r}") from None
+            delta = getattr(deltas, DELTA_FIELDS[rule.delta_name])
             if rule.base_a == rule.base_b:
                 base = 0.0  # self-distance
             else:
                 base = lookup(rule.base_a, rule.base_b)
-            if rule.sign == "+":
-                score = base + delta
-            elif rule.sign == "-":
-                score = base - delta
-            else:
-                raise InputError(f"bad template sign {rule.sign!r}")
+            score = base + delta if rule.sign == "+" else base - delta
         score = min(1.0, max(0.0, score))
         merged[key] = SimilarityRecord(rule.target_a, rule.target_b, score, "delta")
     return SeedDataset(merged.values(), inv)
@@ -252,7 +246,7 @@ def augment_with_deltas(
 
 def apply_adjustments(ds: SeedDataset, source: str | Path | TextIO) -> SeedDataset:
     """Apply manual overrides; adjustment records win over any earlier record."""
-    rows = _read_score_rows(source, ds.inventory, "adjustment")
+    rows = _read_score_rows(source)
     merged = {rec.key: rec for rec in ds.records}
     seen: dict[PairKey, float] = {}
     for seg_a, seg_b, score in rows:
@@ -302,13 +296,11 @@ def load_templates(source: str | Path | TextIO) -> list[TemplateRule]:
         if len(row) != 6:
             raise InputError(f"template row {lineno}: expected 6 columns, got {len(row)}")
         name, base_a, base_b, target_a, target_b, sign = (cell.strip() for cell in row)
-        if name != "fortis" and name not in _DELTA_BY_NAME:
-            raise InputError(f"template row {lineno}: unknown delta name {name!r}")
-        if sign not in ("+", "-"):
-            raise InputError(f"template row {lineno}: bad sign {sign!r}")
-        rules.append(
-            TemplateRule(name, _nfc(base_a), _nfc(base_b), _nfc(target_a), _nfc(target_b), sign)
-        )
+        try:
+            rule = TemplateRule(name, _nfc(base_a), _nfc(base_b), _nfc(target_a), _nfc(target_b), sign)
+        except InputError as exc:
+            raise InputError(f"template row {lineno}: {exc}") from None
+        rules.append(rule)
     return rules
 
 
@@ -316,8 +308,8 @@ def _nfc(text: str) -> str:
     return unicodedata.normalize("NFC", text.strip())
 
 
-def _read_score_rows(source: str | Path | TextIO, inv: Inventory, what: str) -> list[tuple[str, str, float]]:
-    """(seg_a, seg_b, score) rows of two different segments of inv; `what` names a row in errors."""
+def _read_score_rows(source: str | Path | TextIO) -> list[tuple[str, str, float]]:
+    """(seg_a, seg_b, score) rows, NFC graphemes and a float score; the records check the rest."""
     rows = []
     for lineno, row in textio.read_csv(source):
         if len(row) != 3:
@@ -327,11 +319,5 @@ def _read_score_rows(source: str | Path | TextIO, inv: Inventory, what: str) -> 
             score = float(raw_score)
         except ValueError:
             raise InputError(f"row {lineno}: non-numeric score {raw_score!r}") from None
-        if not math.isfinite(score):
-            raise InputError(f"row {lineno}: non-finite score {raw_score!r}")
-        inv.get_segment(seg_a)
-        inv.get_segment(seg_b)
-        if seg_a == seg_b:
-            raise InputError(f"{what} compares {seg_a!r} with itself")
         rows.append((seg_a, seg_b, score))
     return rows

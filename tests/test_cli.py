@@ -84,6 +84,26 @@ class TestFit:
         assert code == 2
         assert "lambda" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lambda_exit_2(self, value, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code = run("fit", "--features", DATA["features"], "--seed", DATA["seed"],
+                   f"--lambda={value}", "-o", str(out))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "lambda" in err
+        assert not out.exists()
+
+    def test_score_range_overflow_exit_2(self, tmp_path, capsys):
+        # Each score is finite, but max - min overflows to inf.
+        seed = tmp_path / "seed.csv"
+        seed.write_text("p,b,1e308\nt,d,-1e308\n", encoding="utf-8")
+        code = run("fit", "--features", DATA["features"], "--seed", str(seed),
+                   "-o", str(tmp_path / "m.json"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and str(seed) in err
+
     def test_self_pair_adjustment_exit_2(self, tmp_path, capsys):
         adjustments = tmp_path / "adjustments.csv"
         adjustments.write_text("p,p,0.3\n", encoding="utf-8")

@@ -58,6 +58,15 @@ class TestLoadFeatureTable:
         with pytest.raises(InputError, match="click"):
             pd.load_feature_table(io.StringIO(table))
 
+    @pytest.mark.parametrize("table,match", [
+        ("segment\tlong\tlong\np\t+\t-\n", "duplicate feature names"),
+        ("segment\tstress\ttone\np\t+\t-\n", "no usable features"),
+        ("segment\tlong\n \t+\n", "row 2: empty segment name"),
+    ])
+    def test_malformed_table_errors(self, table, match):
+        with pytest.raises(InputError, match=match):
+            pd.load_feature_table(io.StringIO(table))
+
     def test_empty_table_errors(self):
         with pytest.raises(InputError):
             pd.load_feature_table(io.StringIO(""))

@@ -5,11 +5,14 @@ arguments swapped for a corrupted copy of a good file: random bytes, a
 non-UTF-8 byte, a truncation, one mangled line, or (for JSON files) a value
 of the wrong shape somewhere in the document. The other files stay intact.
 `main` must return 0 or 2, raise nothing, and write at most one stderr line;
-on exit 2 that line names the corrupted file.
+on exit 2 that line names the corrupted file. The numeric options get the same
+treatment with any float or int, and a model they let `fit` write must be
+standard JSON (no NaN or Infinity).
 """
 
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -168,6 +171,7 @@ def test_malformed_file_exits_cleanly(command, role, files):
     "null",
     '{"stop_affricate": 5}',
     '{"stop_affricate": [[1, 2]]}',
+    '{"stop_affricate": []}',
 ])
 def test_bundle_shape_errors_exit_2(content, files):
     good = json.loads(Path(BUNDLED["bundles"]).read_text(encoding="utf-8"))
@@ -183,3 +187,42 @@ def test_bundle_shape_errors_exit_2(content, files):
 def test_deeply_nested_json_exits_2(command, role, files):
     code, err = _check(command, role, b"[" * 100_000, files)
     assert code == 2 and "JSON" in err, err
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0, 5e-324]
+any_float = st.sampled_from(EDGE_FLOATS) | st.floats()
+any_int = st.sampled_from([0, -1, 10**308, -(10**308)]) | st.integers()
+
+# (subcommand, numeric option, values to try); the option is appended to
+# arguments that succeed, so it overrides any value they already give.
+NUMERIC_OPTIONS = [
+    ("fit", "--lambda", any_float),
+    ("align", "--sigma", any_float),
+    ("align", "--center", any_float),
+    ("align", "--gap", any_float),
+    ("cognates", "--threshold", any_float),
+    ("pca", "--components", any_int),
+]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("command,option,values", NUMERIC_OPTIONS, ids=[o for _, o, _ in NUMERIC_OPTIONS])
+def test_numeric_option_exits_cleanly(command, option, values, files):
+    good, work = files
+    out = work / f"numeric-{command}.out"
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(values)
+    def check(value):
+        out.unlink(missing_ok=True)
+        # "--opt=value" keeps argparse from reading a value such as -inf as an option.
+        code, err = _run([*_argv(command, good, str(out)), f"{option}={value!r}"])
+        assert code in (0, 2), err
+        assert len(err.splitlines()) <= 1, err
+        if code == 0 and command == "fit":
+            json.loads(out.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+
+    check()

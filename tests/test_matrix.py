@@ -134,6 +134,14 @@ class TestLoadReferenceMatrix:
         with pytest.raises(InputError):
             pd.load_reference_matrix(io.StringIO("# nothing here\n"))
 
+    @pytest.mark.parametrize("text,match", [
+        ("segment\ta\tb\na\t0.0\nb\tx\t0.0\n", "row 'b': could not convert"),
+        ("segment\ta\tb\na\t0.0\t0.1\t0.2\nb\t0.1\t0.0\n", "row 'a' has 3 entries, expected 1 or 2"),
+    ])
+    def test_malformed_row_rejected(self, text, match):
+        with pytest.raises(InputError, match=match):
+            pd.load_reference_matrix(io.StringIO(text))
+
     def test_missing_grapheme_lookup_errors(self, fixture_matrix):
         with pytest.raises(UnknownSegmentError):
             fixture_matrix.get("q", "x")

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import numpy as np
@@ -120,6 +121,11 @@ class TestFit:
     def test_negative_lambda_errors(self, demo_dataset, demo_inventory):
         with pytest.raises(InputError):
             pd.fit(demo_dataset, demo_inventory, lam=-1.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda_errors(self, lam, demo_dataset, demo_inventory):
+        with pytest.raises(InputError, match="lambda"):
+            pd.fit(demo_dataset, demo_inventory, lam=lam)
 
     def test_ridge_norm_monotone_in_lambda(self, demo_dataset, demo_inventory):
         norms = []
@@ -269,6 +275,25 @@ class TestSaveLoad:
         payload["fingerprint"] = "0" * 64
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(InputError, match="fingerprint"):
+            pd.load_model(path)
+
+    @pytest.mark.parametrize("mutate,match", [
+        (lambda p: [p], "must hold a JSON object"),
+        (lambda p: {**p, "feature_names": "long"}, "feature_names must be a list of strings"),
+        (lambda p: {**p, "coefficients": [1.0]}, "coefficients must be an object"),
+        (lambda p: {**p, "lambda": math.nan}, "lambda is not finite"),
+        (lambda p: {**p, "coefficients": {**p["coefficients"], "bothPlus:long": "x"}},
+         "coefficient 'bothPlus:long' is not a number"),
+        (lambda p: {**p, "coefficients": {k: v for k, v in p["coefficients"].items()
+                                          if k != "bothMinus:nasal"}},
+         "missing coefficient 'bothMinus:nasal'"),
+    ])
+    def test_malformed_payload_errors(self, mutate, match, demo_model, tmp_path):
+        path = tmp_path / "model.json"
+        pd.save_model(demo_model, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(mutate(payload)), encoding="utf-8")
+        with pytest.raises(InputError, match=match):
             pd.load_model(path)
 
     def test_loaded_model_rejects_other_system(self, demo_model, tmp_path):

@@ -1,0 +1,49 @@
+"""The bundled pipeline's outputs hash to the digests the benchmark records.
+
+`perfbench/digests.json` pins the matrix TSV, the cognates tables and the
+README alignment byte for byte; these tests read it (never write it) and
+rebuild the same outputs in-process, so a change to any of them shows in
+tier-1 as well as in a benchmark run.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from phondist import bundled_path
+from phondist.cli import main
+from phondist.matrix import export_matrix_tsv
+
+DIGESTS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "digests.json").read_text(encoding="utf-8")
+)
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def matrix_file(demo_matrix, tmp_path_factory):
+    path = tmp_path_factory.mktemp("pinned") / "matrix.tsv"
+    export_matrix_tsv(demo_matrix, path)
+    return str(path)
+
+
+def test_matrix_tsv(matrix_file):
+    text = Path(matrix_file).read_text(encoding="utf-8")
+    assert sha256(text) == DIGESTS["setup"]["matrix.tsv"]
+
+
+@pytest.mark.parametrize("name", ["test1", "test2", "test3"])
+def test_cognates_stdout(name, matrix_file, capsys):
+    words = str(bundled_path(f"wordlists/{name}.txt"))
+    assert main(["cognates", "--matrix", matrix_file, "--words", words, "--threshold", "0"]) == 0
+    assert sha256(capsys.readouterr().out) == DIGESTS["cli-pipeline"][f"cognates-{name}.tsv"]
+
+
+def test_align_stdout(matrix_file, capsys):
+    assert main(["align", "--matrix", matrix_file, "woldemort", "waldemar"]) == 0
+    assert sha256(capsys.readouterr().out) == DIGESTS["cli-pipeline"]["align.txt"]

@@ -54,6 +54,11 @@ class TestLoadSeedMatrix:
         with pytest.raises(InputError):
             pd.load_seed_matrix(io.StringIO("p,p,1.0\n"), mini_inventory())
 
+    @pytest.mark.parametrize("score", ["inf", "-inf", "nan"])
+    def test_non_finite_score_names_the_pair(self, score):
+        with pytest.raises(InputError, match=r"seed record \(b, p\): non-finite"):
+            pd.load_seed_matrix(io.StringIO(f"t,d,1.0\nb,p,{score}\n"), mini_inventory())
+
     def test_dedup_never_grows(self):
         inv = mini_inventory()
         ds = pd.load_seed_matrix(io.StringIO(MINI_SEED), inv)
@@ -68,6 +73,12 @@ class TestNormalizeScores:
         assert ds.score("p", "b") == 0.0
         assert ds.score("t", "d") == 0.5
         assert ds.score("k", "g") == 1.0
+
+    def test_overflowing_range_errors(self):
+        inv = mini_inventory()
+        ds = pd.load_seed_matrix(io.StringIO("p,b,1e308\nt,d,-1e308\n"), inv)
+        with pytest.raises(InputError, match="overflows"):
+            pd.normalize_scores(ds)
 
     def test_degenerate_range_errors(self):
         inv = mini_inventory()
@@ -248,6 +259,45 @@ class TestApplyAdjustments:
         twice = pd.apply_adjustments(once, io.StringIO("s,m,0.99\ni,a,0.2\n"))
         assert {r.key: (r.score, r.provenance) for r in once.records} == {
             r.key: (r.score, r.provenance) for r in twice.records
+        }
+
+
+class TestRecordValidation:
+    @pytest.mark.parametrize("provenance", ["seed", "delta", "adjustment"])
+    def test_self_pair_names_provenance(self, provenance):
+        with pytest.raises(InputError, match=f"^{provenance} record compares 'p' with itself$"):
+            SimilarityRecord("p", "p", 0.5, provenance)
+
+    def test_dataset_resolves_every_segment(self):
+        with pytest.raises(InputError, match="ʘ"):
+            pd.SeedDataset([SimilarityRecord("p", "b", 0.1), SimilarityRecord("ʘ", "p", 0.2)],
+                           mini_inventory())
+
+
+class TestLoadTemplates:
+    @pytest.mark.parametrize("row,match", [
+        ("bogus,r,a,rː,a,+", "template row 2: unknown delta name 'bogus'"),
+        ("long,r,a,rː,a,*", r"template row 2: bad sign '\*'"),
+        ("fortis,p,b,p͈,a,", "template row 2: bad sign ''"),
+    ])
+    def test_bad_row_named(self, row, match):
+        with pytest.raises(InputError, match=match):
+            pd.load_templates(io.StringIO(f"long,r,ɾ,rː,ɾ,-\n{row}\n"))
+
+    def test_rule_checks_itself(self):
+        with pytest.raises(InputError, match="unknown delta name"):
+            pd.seed.TemplateRule("length", "r", "a", "rː", "a", "+")
+        with pytest.raises(InputError, match="bad sign"):
+            pd.seed.TemplateRule("long", "r", "a", "rː", "a", "±")
+
+    def test_every_delta_field_has_a_name(self):
+        assert pd.seed.DELTA_FIELDS == {
+            "nonpulmonic_central": "nonpulmonic_central",
+            "nonpulmonic_implosive": "nonpulmonic_implosive",
+            "nonpulmonic_ejective_half": "nonpulmonic_ejective_half",
+            "long": "long_delta",
+            "atr": "atr_delta",
+            "rtr": "rtr_delta",
         }
 
 
