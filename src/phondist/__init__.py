@@ -24,7 +24,6 @@ from .features import (
     Inventory,
     Segment,
     load_feature_table,
-    render,
 )
 from .matrix import (
     DistanceMatrix,

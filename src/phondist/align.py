@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
+from . import textio
 from .errors import InputError, UnknownSegmentError
 from .features import NULL_GRAPHEME, tokenize
 from .matrix import DistanceMatrix
@@ -55,14 +56,13 @@ class ScoringScheme:
         if not math.isfinite(self.gap_constant):
             raise InputError(f"gap score must be finite, got {self.gap_constant}")
         # The kernel's tables, by matrix index: similarity rows, gap scores,
-        # and the grapheme index (the matrix's own) and lengths the tokenizer probes.
+        # and the grapheme index (the matrix's own) the tokenizer probes.
         sim = self.sigma * (self.center - self.matrix.values)
         gaps = ([self.gap_constant] * len(self.matrix) if self.gap_mode == "constant"
                 else sim[:, self.matrix.index(NULL_GRAPHEME)].tolist())
         object.__setattr__(self, "_sim", sim.tolist())
         object.__setattr__(self, "_gaps", gaps)
         object.__setattr__(self, "_index", self.matrix._index)
-        object.__setattr__(self, "_lengths", sorted({len(g) for g in self.matrix.segments}, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,7 @@ def _indices(s: ScoringScheme, word: "str | Sequence[str]") -> list[int]:
     all-gap alignment).
     """
     if isinstance(word, str):
-        word = word.strip()
-        word = tokenize(word, s._index, s._lengths) if word else []
+        word = tokenize(word, s._index) if word.strip() else []
     try:
         return [s._index[t] for t in word]
     except KeyError as exc:
@@ -207,21 +206,19 @@ def format_cognancy_tsv(cm: CognancyMatrix, threshold: float | None = None, head
 
     With a threshold, entries at or above it get a "*" suffix.
     """
-    out = []
-    if header:
-        out.append(f"# {header}")
-    out.append("word\t" + "\t".join(cm.words))
-    for i, word in enumerate(cm.words):
-        cells = [word]
-        for j in range(len(cm.words)):
-            value = cm.scores[i][j]
-            if value is None:
-                cells.append("-")
-            else:
-                mark = "*" if threshold is not None and value >= threshold else ""
-                cells.append(f"{value:+.2f}{mark}")
-        out.append("\t".join(cells))
-    return "\n".join(out) + "\n"
+    def rows():  # one row at a time: an n-word table has n² cells
+        yield ["word", *cm.words]
+        for word, scores in zip(cm.words, cm.scores):
+            cells = [word]
+            for value in scores:
+                if value is None:
+                    cells.append("-")
+                else:
+                    mark = "*" if threshold is not None and value >= threshold else ""
+                    cells.append(f"{value:+.2f}{mark}")
+            yield cells
+
+    return textio.format_table(header, rows())
 
 
 def format_alignment(alignment: Alignment) -> str:

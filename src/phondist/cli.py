@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 internal failure only, 2 usage or input error.
 """
 
 import argparse
+import re
 import sys
 from contextlib import contextmanager
 
@@ -50,8 +51,19 @@ from .seed import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """One-line usage errors; "-1e3", "-inf" or "-nan" after an option is its value, as "-5" is."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="phondist",
         description="Dimensionless phoneme distances, alignment and cognancy scoring.",
     )
@@ -137,8 +149,8 @@ def _params_header(**params) -> str:
 
 
 def cmd_fit(args) -> int:
-    if args.templates and not args.bundles:
-        raise InputError("--templates requires --bundles for the delta pair lists")
+    if bool(args.templates) != bool(args.bundles):
+        raise InputError("--templates and --bundles (the delta pair lists) go together")
     inv = _load(args.features, load_feature_table)
     with _naming(args.seed):
         ds = normalize_scores(load_seed_matrix(args.seed, inv))
@@ -236,9 +248,10 @@ _COMMANDS = {
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
     try:
+        if unknown:
+            raise InputError(f"unrecognized arguments: {' '.join(unknown)}")
         return _COMMANDS[args.command](args)
     except (InputError, OSError) as exc:
         print(f"phondist {args.command}: error: {exc}", file=sys.stderr)

@@ -6,18 +6,18 @@ into an immutable Inventory. Feature values are strictly binary: "+" is true,
 stands for the absence of sound and is always present, so downstream scoring
 can price sound creation and deletion.
 
-Words are tokenized by greedy leftmost-longest match against the inventory
-graphemes, which lets multi-codepoint entries (t͡s, aː, i̘) win over their
-prefixes. Strings are NFC-normalized at load and parse time; no other
-normalization or diacritic composition is attempted, so every grapheme a word
-may contain must be listed in the table.
+Words are tokenized greedy leftmost-longest against a grapheme set (the
+aligners use the distance matrix's), so multi-codepoint entries (t͡s, aː, i̘)
+win over their prefixes. `nfc` strips and NFC-normalizes every grapheme and
+word read; no other normalization or diacritic composition is attempted, so
+every grapheme a word may contain must be listed in the matrix.
 
 The table is read through textio as UTF-8.
 """
 
 import hashlib
 import unicodedata
-from collections.abc import Iterable, Mapping, Sequence, Set
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
@@ -84,12 +84,6 @@ class Inventory:
         self._segments = segments
         self._rows = {g: i for i, g in enumerate(segments)}
         self._features = np.array([s.features for s in segments.values()], dtype=bool)
-        # Longest grapheme first makes the greedy tokenizer's probe order cheap.
-        self._lengths = sorted({len(g) for g in segments}, reverse=True)
-
-    @property
-    def segments(self) -> dict[str, Segment]:
-        return dict(self._segments)
 
     @property
     def null_segment(self) -> Segment:
@@ -116,11 +110,6 @@ class Inventory:
         except KeyError as exc:
             raise UnknownSegmentError(exc.args[0], self.source) from None
 
-    def parse(self, word: str) -> tuple[Segment, ...]:
-        """Tokenize an IPA string into segments, greedy leftmost-longest."""
-        tokens = tokenize(word, self._segments, self._lengths)
-        return tuple(self._segments[t] for t in tokens)
-
 
 def fingerprint_features(names: Sequence[str]) -> str:
     """Stable hash of an ordered feature-name list."""
@@ -128,42 +117,36 @@ def fingerprint_features(names: Sequence[str]) -> str:
     return hashlib.sha256(joined).hexdigest()
 
 
-def tokenize(
-    word: str,
-    graphemes: Iterable[str],
-    lengths: Sequence[int] | None = None,
-) -> list[str]:
+def nfc(text: str) -> str:
+    """A grapheme or word as every reader compares it: stripped, then NFC-normalized."""
+    return unicodedata.normalize("NFC", text.strip())
+
+
+def tokenize(word: str, graphemes: Collection[str]) -> list[str]:
     """Greedy leftmost-longest segmentation of `word` over `graphemes`.
 
-    A set or mapping of graphemes is probed as it is; another iterable is
-    copied into a set first. Raises TokenizeError (with the offending offset)
-    when no grapheme matches at some position. Deterministic for a fixed
-    grapheme set.
+    `graphemes` is a set or mapping; it is probed as it is. Raises
+    TokenizeError (with the offending offset) when no grapheme matches at some
+    position. Deterministic for a fixed grapheme set.
     """
-    word = unicodedata.normalize("NFC", word.strip())
+    word = nfc(word)
     if not word:
         raise InputError("empty word")
-    table = graphemes if isinstance(graphemes, (Set, Mapping)) else set(graphemes)
-    if lengths is None:
-        lengths = sorted({len(g) for g in table}, reverse=True)
+    # Longest grapheme first: the first length that matches is the longest match.
+    lengths = sorted({len(g) for g in graphemes}, reverse=True)
     tokens: list[str] = []
     pos = 0
     n = len(word)
     while pos < n:
         for length in lengths:
             candidate = word[pos : pos + length]
-            if len(candidate) == length and candidate in table:
+            if len(candidate) == length and candidate in graphemes:
                 tokens.append(candidate)
                 pos += length
                 break
         else:
             raise TokenizeError(word, pos)
     return tokens
-
-
-def render(segments: Iterable[Segment]) -> str:
-    """Concatenate segment graphemes back into a word string."""
-    return "".join(s.grapheme for s in segments)
 
 
 def load_feature_table(source: str | Path | TextIO) -> Inventory:
@@ -194,7 +177,7 @@ def load_feature_table(source: str | Path | TextIO) -> Inventory:
             raise InputError(
                 f"row {lineno}: expected {len(raw_names) + 1} columns, found {len(cells)}"
             )
-        grapheme = unicodedata.normalize("NFC", cells[0].strip())
+        grapheme = nfc(cells[0])
         if not grapheme:
             raise InputError(f"row {lineno}: empty segment name")
         values = []

@@ -12,7 +12,7 @@ component's largest-magnitude entry is positive, keeping exports reproducible.
 Matrix TSVs are read, and every export written, through textio as UTF-8.
 """
 
-import unicodedata
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import textio
 from .errors import InputError, UnknownSegmentError
-from .features import Inventory
+from .features import Inventory, nfc
 # predict_distance is unused here: perfbench/worker.py (traced_targets) patches matrix.predict_distance.
 from .model import LinearModel, _same_system, encode_pairs, predict_distance, predict_rows
 
@@ -105,7 +105,7 @@ def load_reference_matrix(source: str | Path | TextIO) -> DistanceMatrix:
     header = lines[0].split("\t")
     if header and header[0].strip() in ("", "segment"):
         header = header[1:]
-    names = [unicodedata.normalize("NFC", h.strip()) for h in header]
+    names = [nfc(h) for h in header]
     if not names or any(not n for n in names):
         raise InputError("matrix header row is malformed")
     n = len(names)
@@ -115,7 +115,7 @@ def load_reference_matrix(source: str | Path | TextIO) -> DistanceMatrix:
     values = np.zeros((n, n))
     for i, line in enumerate(lines[1:]):
         cells = line.split("\t")
-        label = unicodedata.normalize("NFC", cells[0].strip())
+        label = nfc(cells[0])
         if label != names[i]:
             raise InputError(f"row {i + 1} is labelled {label!r}, expected {names[i]!r}")
         entries = [c.strip() for c in cells[1:] if c.strip() != ""]
@@ -167,25 +167,17 @@ def pca(dm: DistanceMatrix, k: int) -> PcaResult:
 
 def export_matrix_tsv(dm: DistanceMatrix, sink: str | Path | TextIO, header: str = "") -> None:
     """Write a full square TSV with 6-decimal entries."""
-    out = []
-    if header:
-        out.append(f"# {header}")
-    out.append("segment\t" + "\t".join(dm.segments))
-    for grapheme, row in zip(dm.segments, dm.values):
-        out.append(grapheme + "\t" + "\t".join(f"{v:.6f}" for v in row))
-    textio.write_text(sink, "\n".join(out) + "\n")
+    rows = [["segment", *dm.segments]]
+    rows += [[g, *(f"{v:.6f}" for v in row)] for g, row in zip(dm.segments, dm.values)]
+    textio.write_text(sink, textio.format_table(header, rows))
 
 
 def export_pca_tsv(result: PcaResult, sink: str | Path | TextIO, header: str = "") -> None:
     """Write per-segment component coordinates, 6 decimals."""
     k = result.coordinates.shape[1]
-    out = []
-    if header:
-        out.append(f"# {header}")
-    out.append("segment\t" + "\t".join(f"pc{i + 1}" for i in range(k)))
-    for grapheme, coords in zip(result.segments, result.coordinates):
-        out.append(grapheme + "\t" + "\t".join(f"{c:.6f}" for c in coords))
-    textio.write_text(sink, "\n".join(out) + "\n")
+    rows = [["segment", *(f"pc{i + 1}" for i in range(k))]]
+    rows += [[g, *(f"{c:.6f}" for c in coords)] for g, coords in zip(result.segments, result.coordinates)]
+    textio.write_text(sink, textio.format_table(header, rows))
 
 
 def export_pca_svg(result: PcaResult, sink: str | Path | TextIO, header: str = "") -> None:
@@ -211,8 +203,8 @@ def export_pca_svg(result: PcaResult, sink: str | Path | TextIO, header: str = "
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
     ]
-    if header:
-        parts.append(f"<!-- {header} -->")
+    if header:  # an XML comment may not hold "--" or end in "-"
+        parts.append(f"<!-- {re.sub('-(?=-|$)', '- ', header)} -->")
     parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
     parts.append(
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '

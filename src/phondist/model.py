@@ -101,10 +101,16 @@ def predict_rows(m: LinearModel, X: np.ndarray) -> np.ndarray:
     return np.array([min(1.0, max(0.0, m.intercept + float(x @ w))) for x in X])
 
 
-def fit(ds: SeedDataset, inv: Inventory, lam: float = DEFAULT_LAMBDA) -> LinearModel:
-    """Fit the distance model on a (normalized, augmented) dataset."""
+def _checked_lambda(lam: float) -> float:
+    """The ridge strength, once checked to lie in [0, inf); fit and load_model both use it."""
     if not 0 <= lam < math.inf:
         raise InputError(f"lambda must be finite and >= 0, got {lam}")
+    return lam
+
+
+def fit(ds: SeedDataset, inv: Inventory, lam: float = DEFAULT_LAMBDA) -> LinearModel:
+    """Fit the distance model on a (normalized, augmented) dataset."""
+    _checked_lambda(lam)
     records = ds.records
     if len(records) < 2:
         raise InputError(f"need at least 2 records to fit, got {len(records)}")
@@ -180,6 +186,8 @@ def load_model(source: str | Path | TextIO) -> LinearModel:
     for field in ("version", "lambda", "intercept", "fingerprint", "feature_names", "coefficients"):
         if field not in payload:
             raise InputError(f"model file missing field {field!r}")
+    if payload["version"] != 1:
+        raise InputError(f"unsupported model version {payload['version']!r}")
     if not isinstance(payload["feature_names"], list) or not all(
         isinstance(n, str) for n in payload["feature_names"]
     ):
@@ -208,7 +216,7 @@ def load_model(source: str | Path | TextIO) -> LinearModel:
     return LinearModel(
         intercept=_num(payload["intercept"], "intercept"),
         coefficients=tuple(ordered),
-        lam=_num(payload["lambda"], "lambda"),
+        lam=_checked_lambda(_num(payload["lambda"], "lambda")),
         feature_names=names,
         feature_fingerprint=fingerprint,
     )

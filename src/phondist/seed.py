@@ -20,14 +20,13 @@ raises InputError. Records, datasets and template rules check their own data.
 """
 
 import math
-import unicodedata
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
 from . import textio
 from .errors import InputError
-from .features import Inventory
+from .features import Inventory, nfc
 
 PairKey = tuple[str, str]
 
@@ -184,7 +183,10 @@ def class_mean_distance(ds: SeedDataset, pairs: Sequence[PairKey]) -> float:
     """Arithmetic mean of the scores recorded for the given pairs."""
     if not pairs:
         raise InputError("empty pair list for class mean")
-    return sum(ds.score(a, b) for a, b in pairs) / len(pairs)
+    total = 0.0
+    for a, b in pairs:  # left to right: float sum() is compensated from Python 3.12 on
+        total += ds.score(a, b)
+    return total / len(pairs)
 
 
 def derive_deltas(ds: SeedDataset, bundles: DeltaBundles) -> DeltaSet:
@@ -282,7 +284,7 @@ def load_delta_bundles(source: str | Path | TextIO) -> DeltaBundles:
             if not (isinstance(entry, list) and len(entry) == 2
                     and all(isinstance(g, str) for g in entry)):
                 raise InputError(f"bundle {name!r}: pair {entry!r} is not a 2-list of strings")
-            pairs.append((_nfc(entry[0]), _nfc(entry[1])))
+            pairs.append((nfc(entry[0]), nfc(entry[1])))
         if not pairs:
             raise InputError(f"bundle {name!r} is empty")
         kwargs[name] = tuple(pairs)
@@ -297,15 +299,11 @@ def load_templates(source: str | Path | TextIO) -> list[TemplateRule]:
             raise InputError(f"template row {lineno}: expected 6 columns, got {len(row)}")
         name, base_a, base_b, target_a, target_b, sign = (cell.strip() for cell in row)
         try:
-            rule = TemplateRule(name, _nfc(base_a), _nfc(base_b), _nfc(target_a), _nfc(target_b), sign)
+            rule = TemplateRule(name, nfc(base_a), nfc(base_b), nfc(target_a), nfc(target_b), sign)
         except InputError as exc:
             raise InputError(f"template row {lineno}: {exc}") from None
         rules.append(rule)
     return rules
-
-
-def _nfc(text: str) -> str:
-    return unicodedata.normalize("NFC", text.strip())
 
 
 def _read_score_rows(source: str | Path | TextIO) -> list[tuple[str, str, float]]:
@@ -314,7 +312,7 @@ def _read_score_rows(source: str | Path | TextIO) -> list[tuple[str, str, float]
     for lineno, row in textio.read_csv(source):
         if len(row) != 3:
             raise InputError(f"row {lineno}: expected 3 columns, got {len(row)}")
-        seg_a, seg_b, raw_score = _nfc(row[0]), _nfc(row[1]), row[2].strip()
+        seg_a, seg_b, raw_score = nfc(row[0]), nfc(row[1]), row[2].strip()
         try:
             score = float(raw_score)
         except ValueError:

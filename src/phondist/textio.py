@@ -13,7 +13,7 @@ import csv
 import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterator, TextIO, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
 
 from .errors import InputError
 
@@ -51,6 +51,13 @@ def read_lines(source: str | Path | TextIO) -> list[str]:
         for line in _parse(source, lambda handle: handle.readlines())
         if line.strip() and not line.lstrip().startswith("#")
     ]
+
+
+def format_table(comment: str, rows: Iterable[Iterable[str]]) -> str:
+    """Tab-separated rows, one per line, under a "# comment" line if comment is not empty."""
+    lines = [f"# {comment}"] if comment else []
+    lines.extend("\t".join(row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def read_csv(source: str | Path | TextIO) -> list[tuple[int, list[str]]]:

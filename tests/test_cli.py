@@ -1,4 +1,5 @@
 import json
+import xml.dom.minidom
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,14 @@ class TestFit:
                    "--templates", DATA["templates"], "-o", str(tmp_path / "m.json"))
         assert code == 2
 
+    def test_bundles_without_templates_exit_2(self, tmp_path, capsys):
+        # Before, the bundle file was never read and fit exited 0.
+        code = run("fit", "--features", DATA["features"], "--seed", DATA["seed"],
+                   "--bundles", "/nonexistent.json", "-o", str(tmp_path / "m.json"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "--templates" in err
+
 
 class TestMatrix:
     def test_dimensions_with_null(self, demo_matrix_file):
@@ -159,6 +168,21 @@ class TestMatrix:
         err = capsys.readouterr().err
         assert code == 2
         assert "feature system" in err and str(features) in err and str(fitted) in err
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("version", 7, "unsupported model version 7"),
+        ("lambda", -3.0, "lambda must be finite and >= 0"),
+    ])
+    def test_invalid_model_field_exit_2(self, field, value, match, fitted, tmp_path, capsys):
+        payload = json.loads(fitted.read_text(encoding="utf-8"))
+        payload[field] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        code = run("matrix", "--model", str(model), "--features", DATA["features"],
+                   "-o", str(tmp_path / "out.tsv"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and match in err and str(model) in err
 
 
 class TestDistance:
@@ -251,6 +275,17 @@ class TestPca:
         assert code == 0
         svg = out.read_text(encoding="utf-8")
         assert svg.count('class="seg-label"') == 10
+
+    def test_svg_from_path_with_double_hyphen_is_xml(self, tmp_path):
+        # The header comment echoes the matrix path; "--" may not occur in an XML comment.
+        matrix = tmp_path / "a--b-.tsv"
+        matrix.write_bytes(Path(DATA["fixture"]).read_bytes())
+        out = tmp_path / "scatter.svg"
+        assert run("pca", "--matrix", str(matrix), "-k", "2", "--format", "svg", "-o", str(out)) == 0
+        doc = xml.dom.minidom.parse(str(out))
+        comment = next(n for n in doc.documentElement.childNodes if n.nodeType == n.COMMENT_NODE)
+        assert "--" not in comment.data and "a- -b-.tsv" in comment.data
+        assert len(doc.getElementsByTagName("circle")) == 10
 
     def test_tsv_columns(self, tmp_path):
         out = tmp_path / "coords.tsv"

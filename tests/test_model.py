@@ -282,6 +282,8 @@ class TestSaveLoad:
         (lambda p: {**p, "feature_names": "long"}, "feature_names must be a list of strings"),
         (lambda p: {**p, "coefficients": [1.0]}, "coefficients must be an object"),
         (lambda p: {**p, "lambda": math.nan}, "lambda is not finite"),
+        (lambda p: {**p, "lambda": -3.0}, "lambda must be finite and >= 0, got -3.0"),
+        (lambda p: {**p, "version": 7}, "unsupported model version 7"),
         (lambda p: {**p, "coefficients": {**p["coefficients"], "bothPlus:long": "x"}},
          "coefficient 'bothPlus:long' is not a number"),
         (lambda p: {**p, "coefficients": {k: v for k, v in p["coefficients"].items()

@@ -1,4 +1,5 @@
 import io
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 import phondist as pd
 from phondist.errors import InputError
-from phondist.seed import SimilarityRecord, pair_key
+from phondist.seed import SeedDataset, SimilarityRecord, pair_key
 
 from conftest import (
     MINI_SEED,
@@ -119,6 +120,14 @@ class TestClassMeanDistance:
     def test_empty_list_errors(self):
         with pytest.raises(InputError):
             pd.class_mean_distance(mini_normalized(), [])
+
+    def test_scores_added_left_to_right(self):
+        # A compensated sum (builtin sum() from Python 3.12 on) gives 1/3 here;
+        # on 3.10 and 3.11 sum() also adds left to right, so there this passes either way.
+        pairs = [("p", "b"), ("t", "d"), ("k", "g")]
+        scores = [1e16, 1.0, -1e16]
+        ds = SeedDataset([SimilarityRecord(a, b, x) for (a, b), x in zip(pairs, scores)], mini_inventory())
+        assert pd.class_mean_distance(ds, pairs) == 0.0
 
 
 class TestDeriveDeltas:
@@ -343,3 +352,17 @@ class TestBundledPipeline:
         bundles = pd.load_delta_bundles(pd.bundled_path("delta_bundles.json"))
         assert pd.class_mean_distance(ds, bundles.stop_affricate) == pytest.approx(0.28, abs=0.03)
         assert pd.class_mean_distance(ds, bundles.stop_fricative) == pytest.approx(0.24, abs=0.03)
+
+    def test_bundled_deltas_pinned(self, demo_inventory):
+        # Every bit: the deltas feed the delta records and so model.json, which
+        # must not change with the Python version.
+        ds = pd.normalize_scores(pd.load_seed_matrix(pd.bundled_path("seed_scores.csv"), demo_inventory))
+        deltas = pd.derive_deltas(ds, pd.load_delta_bundles(pd.bundled_path("delta_bundles.json")))
+        assert {f.name: repr(getattr(deltas, f.name)) for f in fields(deltas)} == {
+            "nonpulmonic_central": "0.2755102040816326",
+            "nonpulmonic_implosive": "0.23469387755102036",
+            "nonpulmonic_ejective_half": "0.09693877551020408",
+            "long_delta": "0.1530612244897959",
+            "atr_delta": "0.12755102040816324",
+            "rtr_delta": "0.12755102040816324",
+        }
