@@ -216,7 +216,7 @@ def cmd_align(args) -> int:
 def cmd_cognates(args) -> int:
     scheme = _scheme(args)
     with _naming(args.words):
-        words = [line.strip() for line in textio.read_lines(args.words)]
+        words = [text.strip() for _, text in textio.read_lines(args.words)]
         cm = cognancy_matrix(scheme, words, args.mode)
     header = _params_header(
         mode=args.mode, sigma=args.sigma, center=args.center,

@@ -8,15 +8,15 @@ can price sound creation and deletion.
 
 Words are tokenized greedy leftmost-longest against a grapheme set (the
 aligners use the distance matrix's), so multi-codepoint entries (t͡s, aː, i̘)
-win over their prefixes. `nfc` strips and NFC-normalizes every grapheme and
-word read; no other normalization or diacritic composition is attempted, so
-every grapheme a word may contain must be listed in the matrix.
+win over their prefixes. Words and graphemes are compared after `textio.nfc`
+(strip, then NFC); no other normalization or diacritic composition is
+attempted, so every grapheme a word may contain must be listed in the matrix.
 
-The table is read through textio as UTF-8.
+The table is read through `textio.read_table` (stripped, NFC-normalized cells
+with the file's line numbers); this module only interprets the cells.
 """
 
 import hashlib
-import unicodedata
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,10 +64,6 @@ class Inventory:
         for grapheme, values in rows:
             if grapheme in segments:
                 raise InputError(f"duplicate segment row for {grapheme!r}")
-            if len(values) != len(names):
-                raise InputError(
-                    f"segment {grapheme!r} has {len(values)} feature values, expected {len(names)}"
-                )
             segments[grapheme] = Segment(
                 grapheme=grapheme,
                 features=tuple(values),
@@ -117,11 +113,6 @@ def fingerprint_features(names: Sequence[str]) -> str:
     return hashlib.sha256(joined).hexdigest()
 
 
-def nfc(text: str) -> str:
-    """A grapheme or word as every reader compares it: stripped, then NFC-normalized."""
-    return unicodedata.normalize("NFC", text.strip())
-
-
 def tokenize(word: str, graphemes: Collection[str]) -> list[str]:
     """Greedy leftmost-longest segmentation of `word` over `graphemes`.
 
@@ -129,7 +120,7 @@ def tokenize(word: str, graphemes: Collection[str]) -> list[str]:
     TokenizeError (with the offending offset) when no grapheme matches at some
     position. Deterministic for a fixed grapheme set.
     """
-    word = nfc(word)
+    word = textio.nfc(word)
     if not word:
         raise InputError("empty word")
     # Longest grapheme first: the first length that matches is the longest match.
@@ -154,35 +145,22 @@ def load_feature_table(source: str | Path | TextIO) -> Inventory:
 
     The header must start with the literal column "segment"; remaining columns
     are feature names. Cells hold "+", "-" or "0". Blank lines and "#" comment
-    lines are skipped (see textio). Columns named "stress" or "tone" are
-    discarded.
+    lines are skipped, and errors name the file's line (see textio). Columns
+    named "stress" or "tone" are discarded.
     """
-    rows = textio.read_lines(source)
-    if not rows:
-        raise InputError("feature table is empty")
-
-    header = rows[0].split("\t")
-    if not header or header[0].strip() != "segment":
-        raise InputError('feature table header must start with a "segment" column')
-    raw_names = [h.strip() for h in header[1:]]
+    raw_names, rows = textio.read_table(source)
     keep = [i for i, name in enumerate(raw_names) if name not in DROPPED_FEATURES]
     names = [raw_names[i] for i in keep]
     if not names:
         raise InputError("feature table defines no usable features")
 
     parsed: list[tuple[str, FeatureVector]] = []
-    for lineno, line in enumerate(rows[1:], start=2):
-        cells = line.split("\t")
-        if len(cells) != len(raw_names) + 1:
-            raise InputError(
-                f"row {lineno}: expected {len(raw_names) + 1} columns, found {len(cells)}"
-            )
-        grapheme = nfc(cells[0])
+    for lineno, grapheme, cells in rows:
         if not grapheme:
             raise InputError(f"row {lineno}: empty segment name")
         values = []
         for i in keep:
-            cell = cells[i + 1].strip()
+            cell = cells[i]
             if cell == "+":
                 values.append(True)
             elif cell in ("-", "0", "−"):

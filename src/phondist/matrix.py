@@ -9,7 +9,8 @@ PCA treats matrix rows as observations: columns are mean-centered and the
 sample covariance is eigendecomposed. Component signs are fixed so each
 component's largest-magnitude entry is positive, keeping exports reproducible.
 
-Matrix TSVs are read, and every export written, through textio as UTF-8.
+Matrix TSVs are read through `textio.read_table` (stripped, NFC-normalized
+cells with the file's line numbers); every export is written through textio.
 """
 
 import re
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import textio
 from .errors import InputError, UnknownSegmentError
-from .features import Inventory, nfc
+from .features import Inventory
 # predict_distance is unused here: perfbench/worker.py (traced_targets) patches matrix.predict_distance.
 from .model import LinearModel, _same_system, encode_pairs, predict_distance, predict_rows
 
@@ -96,46 +97,37 @@ def build_matrix(m: LinearModel, inv: Inventory, include_null: bool = False) -> 
 def load_reference_matrix(source: str | Path | TextIO) -> DistanceMatrix:
     """Load a matrix TSV (full square or lower-triangular, "#" comments).
 
-    Full matrices must be symmetric to within 1e-9; the stored matrix is
-    exactly symmetrized from the lower triangle either way.
+    The header is "segment" and then the graphemes; each row starts with its
+    grapheme. Full matrices must be symmetric to within 1e-9; the stored
+    matrix is exactly symmetrized from the lower triangle either way.
     """
-    lines = textio.read_lines(source)
-    if not lines:
-        raise InputError("matrix file is empty")
-    header = lines[0].split("\t")
-    if header and header[0].strip() in ("", "segment"):
-        header = header[1:]
-    names = [nfc(h) for h in header]
-    if not names or any(not n for n in names):
+    names, rows = textio.read_table(source, ragged=True)
+    if not names or not all(names):
         raise InputError("matrix header row is malformed")
     n = len(names)
-    if len(lines) - 1 != n:
-        raise InputError(f"expected {n} matrix rows, found {len(lines) - 1}")
+    if len(rows) != n:
+        raise InputError(f"expected {n} matrix rows, found {len(rows)}")
 
     values = np.zeros((n, n))
-    for i, line in enumerate(lines[1:]):
-        cells = line.split("\t")
-        label = nfc(cells[0])
+    full = False  # some row above the last is given in full, so the upper triangle is data
+    for i, (lineno, label, cells) in enumerate(rows):
         if label != names[i]:
-            raise InputError(f"row {i + 1} is labelled {label!r}, expected {names[i]!r}")
-        entries = [c.strip() for c in cells[1:] if c.strip() != ""]
-        if len(entries) == i + 1:  # lower triangle incl. diagonal
-            row = _parse_floats(entries, label)
-            values[i, : i + 1] = row
-        elif len(entries) == n:
-            values[i, :] = _parse_floats(entries, label)
-        else:
+            raise InputError(f"row {lineno} is labelled {label!r}, expected {names[i]!r}")
+        entries = [c for c in cells if c]
+        if len(entries) not in (i + 1, n):  # lower triangle incl. diagonal, or full
             raise InputError(
                 f"row {label!r} has {len(entries)} entries, expected {i + 1} or {n}"
             )
+        full = full or len(entries) > i + 1
+        try:
+            values[i, : len(entries)] = [float(c) for c in entries]
+        except ValueError as exc:
+            raise InputError(f"row {label!r}: {exc}") from None
 
-    upper = np.triu(values, k=1)
-    if upper.any():  # full matrix: check symmetry before discarding the upper half
-        if np.max(np.abs(values - values.T)) > _SYMMETRY_TOL:
-            raise InputError(f"matrix asymmetric beyond {_SYMMETRY_TOL}")
+    if full and np.max(np.abs(values - values.T)) > _SYMMETRY_TOL:
+        raise InputError(f"matrix asymmetric beyond {_SYMMETRY_TOL}")
     lower = np.tril(values)
-    full = lower + np.tril(lower, k=-1).T
-    return DistanceMatrix(names, full)
+    return DistanceMatrix(names, lower + np.tril(lower, k=-1).T)
 
 
 def pca(dm: DistanceMatrix, k: int) -> PcaResult:
@@ -229,13 +221,6 @@ def export_pca_svg(result: PcaResult, sink: str | Path | TextIO, header: str = "
         )
     parts.append("</svg>")
     textio.write_text(sink, "\n".join(parts) + "\n")
-
-
-def _parse_floats(cells: list[str], label: str) -> list[float]:
-    try:
-        return [float(c) for c in cells]
-    except ValueError as exc:
-        raise InputError(f"row {label!r}: {exc}") from None
 
 
 def _xml_escape(text: str) -> str:

@@ -33,6 +33,7 @@ Models are saved and loaded as UTF-8 JSON through textio.
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
@@ -186,7 +187,7 @@ def load_model(source: str | Path | TextIO) -> LinearModel:
     for field in ("version", "lambda", "intercept", "fingerprint", "feature_names", "coefficients"):
         if field not in payload:
             raise InputError(f"model file missing field {field!r}")
-    if payload["version"] != 1:
+    if isinstance(payload["version"], bool) or payload["version"] != 1:
         raise InputError(f"unsupported model version {payload['version']!r}")
     if not isinstance(payload["feature_names"], list) or not all(
         isinstance(n, str) for n in payload["feature_names"]
@@ -199,13 +200,11 @@ def load_model(source: str | Path | TextIO) -> LinearModel:
     if fingerprint != fingerprint_features(names):
         raise InputError("model fingerprint does not match its feature_names")
     def _num(value, what):
-        try:
-            value = float(value)
-        except (TypeError, ValueError):
-            raise InputError(f"model {what} is not a number") from None
-        if not math.isfinite(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InputError(f"model {what} is not a number")
+        if not -sys.float_info.max <= value <= sys.float_info.max:  # also an int too large for a float
             raise InputError(f"model {what} is not finite")
-        return value
+        return float(value)
 
     coeff_map = payload["coefficients"]
     ordered = []

@@ -14,8 +14,8 @@ inventory, so after min-max normalization it is extended in two steps:
    overrides or appends records for pairs the model still gets wrong.
 
 Every stage returns a new SeedDataset; record provenance is tracked as
-"seed", "delta" or "adjustment". The seed, template and adjustment CSVs and
-the bundle JSON are read through textio; a bundle file of the wrong shape
+"seed", "delta" or "adjustment". Files are read through textio (CSV column
+counts checked, cells stripped and NFC-normalized); a malformed bundle file
 raises InputError. Records, datasets and template rules check their own data.
 """
 
@@ -26,7 +26,7 @@ from typing import Iterable, Sequence, TextIO
 
 from . import textio
 from .errors import InputError
-from .features import Inventory, nfc
+from .features import Inventory
 
 PairKey = tuple[str, str]
 
@@ -284,7 +284,7 @@ def load_delta_bundles(source: str | Path | TextIO) -> DeltaBundles:
             if not (isinstance(entry, list) and len(entry) == 2
                     and all(isinstance(g, str) for g in entry)):
                 raise InputError(f"bundle {name!r}: pair {entry!r} is not a 2-list of strings")
-            pairs.append((nfc(entry[0]), nfc(entry[1])))
+            pairs.append((textio.nfc(entry[0]), textio.nfc(entry[1])))
         if not pairs:
             raise InputError(f"bundle {name!r} is empty")
         kwargs[name] = tuple(pairs)
@@ -294,25 +294,18 @@ def load_delta_bundles(source: str | Path | TextIO) -> DeltaBundles:
 def load_templates(source: str | Path | TextIO) -> list[TemplateRule]:
     """Read template rules (CSV "delta_name,base_a,base_b,target_a,target_b,sign")."""
     rules = []
-    for lineno, row in textio.read_csv(source):
-        if len(row) != 6:
-            raise InputError(f"template row {lineno}: expected 6 columns, got {len(row)}")
-        name, base_a, base_b, target_a, target_b, sign = (cell.strip() for cell in row)
+    for lineno, row in textio.read_csv(source, 6):
         try:
-            rule = TemplateRule(name, nfc(base_a), nfc(base_b), nfc(target_a), nfc(target_b), sign)
+            rules.append(TemplateRule(*row))
         except InputError as exc:
             raise InputError(f"template row {lineno}: {exc}") from None
-        rules.append(rule)
     return rules
 
 
 def _read_score_rows(source: str | Path | TextIO) -> list[tuple[str, str, float]]:
     """(seg_a, seg_b, score) rows, NFC graphemes and a float score; the records check the rest."""
     rows = []
-    for lineno, row in textio.read_csv(source):
-        if len(row) != 3:
-            raise InputError(f"row {lineno}: expected 3 columns, got {len(row)}")
-        seg_a, seg_b, raw_score = nfc(row[0]), nfc(row[1]), row[2].strip()
+    for lineno, (seg_a, seg_b, raw_score) in textio.read_csv(source, 3):
         try:
             score = float(raw_score)
         except ValueError:

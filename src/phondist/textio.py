@@ -1,16 +1,17 @@
 """Reading and writing the package's text files.
 
 Every file the package reads or writes is UTF-8 text, given either as a path
-or as an already-open handle. Line-oriented formats (feature tables, matrices,
-word lists) skip blank lines and lines whose first non-blank character is "#";
-CSV formats skip empty rows and rows whose first cell starts with "#". A file
-that is not valid UTF-8, CSV or JSON raises InputError with a one-line
-message, so callers report it like any other input error; the CLI puts the
-file's name in front of it, as it does for every input error a file causes.
+or as an already-open handle; a path may start with a byte-order mark. Readers
+skip blank lines and "#" comments, hand out stripped, NFC-normalized cells
+with the file's own line numbers, and raise InputError with a one-line message
+for a file that is not valid UTF-8, CSV or JSON or whose rows have the wrong
+width; the CLI puts the file's name in front of it, as it does for every input
+error a file causes.
 """
 
 import csv
 import json
+import unicodedata
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
@@ -23,7 +24,8 @@ T = TypeVar("T")
 @contextmanager
 def _opened(target: str | Path | TextIO, mode: str = "r", newline: str | None = None) -> Iterator[TextIO]:
     if isinstance(target, (str, Path)):
-        with open(target, mode, encoding="utf-8", newline=newline) as handle:
+        encoding = "utf-8-sig" if mode == "r" else "utf-8"
+        with open(target, mode, encoding=encoding, newline=newline) as handle:
             yield handle
     else:
         yield target
@@ -44,13 +46,33 @@ def _parse(source: str | Path | TextIO, parse: Callable[[TextIO], T], newline: s
     raise InputError(problem)
 
 
-def read_lines(source: str | Path | TextIO) -> list[str]:
-    """Data lines without their newline; blank and "#" comment lines skipped."""
+def nfc(text: str) -> str:
+    """A cell, grapheme or word as every reader compares it: stripped, then NFC-normalized."""
+    return unicodedata.normalize("NFC", text.strip())
+
+
+def read_lines(source: str | Path | TextIO) -> list[tuple[int, str]]:
+    """(line number, text without its newline) per data line; blank and "#" comment lines skipped."""
     return [
-        line.rstrip("\n")
-        for line in _parse(source, lambda handle: handle.readlines())
+        (lineno, line.rstrip("\n"))
+        for lineno, line in enumerate(_parse(source, lambda handle: handle.readlines()), start=1)
         if line.strip() and not line.lstrip().startswith("#")
     ]
+
+
+def read_table(source: str | Path | TextIO, ragged: bool = False) -> tuple[list[str], list[tuple[int, str, list[str]]]]:
+    """Column names and (line number, label, cells) per row of a TSV table whose header
+    starts with "segment"; unless `ragged`, every row is as wide as the header."""
+    lines = read_lines(source)
+    if not lines:
+        raise InputError("table is empty")
+    (_, header), *rows = [(lineno, [nfc(cell) for cell in text.split("\t")]) for lineno, text in lines]
+    if header[0] != "segment":
+        raise InputError('table header must start with a "segment" column')
+    if not ragged:
+        for lineno, cells in rows:
+            _check_width(lineno, cells, len(header))
+    return header[1:], [(lineno, cells[0], cells[1:]) for lineno, cells in rows]
 
 
 def format_table(comment: str, rows: Iterable[Iterable[str]]) -> str:
@@ -60,14 +82,23 @@ def format_table(comment: str, rows: Iterable[Iterable[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_csv(source: str | Path | TextIO) -> list[tuple[int, list[str]]]:
-    """(row number, cells) for each CSV row; empty and "#" comment rows skipped."""
-    raw = _parse(source, lambda handle: list(csv.reader(handle)), newline="")
-    return [
-        (lineno, row)
-        for lineno, row in enumerate(raw, start=1)
-        if row and not row[0].lstrip().startswith("#")
-    ]
+def read_csv(source: str | Path | TextIO, width: int) -> list[tuple[int, list[str]]]:
+    """(line number, cells) per CSV row of exactly `width` cells; empty and "#" comment rows skipped."""
+    rows = _parse(source, _csv_rows, newline="")
+    for lineno, row in rows:
+        _check_width(lineno, row, width)
+    return [(lineno, [nfc(cell) for cell in row]) for lineno, row in rows]
+
+
+def _csv_rows(handle: TextIO) -> list[tuple[int, list[str]]]:
+    """(number of the line the row ends on, cells) per CSV row, empty and "#" comment rows skipped."""
+    reader = csv.reader(handle)
+    return [(reader.line_num, row) for row in reader if row and not row[0].lstrip().startswith("#")]
+
+
+def _check_width(lineno: int, cells: list[str], width: int) -> None:
+    if len(cells) != width:
+        raise InputError(f"row {lineno}: expected {width} columns, got {len(cells)}")
 
 
 def read_json(source: str | Path | TextIO) -> Any:

@@ -63,6 +63,7 @@ class TestLoadFeatureTable:
         ("segment\tlong\tlong\np\t+\t-\n", "duplicate feature names"),
         ("segment\tstress\ttone\np\t+\t-\n", "no usable features"),
         ("segment\tlong\n \t+\n", "row 2: empty segment name"),
+        ("# note\nsegment\tlong\np\t+\nb\t?\n", "row 4, feature 'long': bad value '\\?'"),
     ])
     def test_malformed_table_errors(self, table, match):
         with pytest.raises(InputError, match=match):

@@ -184,6 +184,13 @@ def test_bundle_shape_errors_exit_2(content, files):
     assert code == 2 and "bundle" in err, err
 
 
+def test_missing_bundle_exits_2(files):
+    good = json.loads(Path(BUNDLED["bundles"]).read_text(encoding="utf-8"))
+    del good["flap_trill"]
+    code, err = _check("fit", "bundles", json.dumps(good).encode("utf-8"), files)
+    assert code == 2 and "delta bundle config missing flap_trill" in err, err
+
+
 @pytest.mark.parametrize("command,role", [("fit", "bundles"), ("matrix", "model")])
 def test_deeply_nested_json_exits_2(command, role, files):
     code, err = _check(command, role, b"[" * 100_000, files)

@@ -137,6 +137,7 @@ class TestLoadReferenceMatrix:
     @pytest.mark.parametrize("text,match", [
         ("segment\ta\tb\na\t0.0\nb\tx\t0.0\n", "row 'b': could not convert"),
         ("segment\ta\tb\na\t0.0\t0.1\t0.2\nb\t0.1\t0.0\n", "row 'a' has 3 entries, expected 1 or 2"),
+        ("segment\ta\ti\tu\na\t0\t0\t0\ni\t0.3\t0\t0\nu\t0.5\t0.7\t0\n", "asymmetric"),
     ])
     def test_malformed_row_rejected(self, text, match):
         with pytest.raises(InputError, match=match):

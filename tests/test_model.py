@@ -289,6 +289,12 @@ class TestSaveLoad:
         (lambda p: {**p, "coefficients": {k: v for k, v in p["coefficients"].items()
                                           if k != "bothMinus:nasal"}},
          "missing coefficient 'bothMinus:nasal'"),
+        (lambda p: {**p, "intercept": "0.5"}, "intercept is not a number"),
+        (lambda p: {**p, "coefficients": {**p["coefficients"], "bothMinus:long": True}},
+         "coefficient 'bothMinus:long' is not a number"),
+        (lambda p: {**p, "version": True}, "unsupported model version True"),
+        (lambda p: {**p, "lambda": "1e-4"}, "lambda is not a number"),
+        (lambda p: {**p, "intercept": 10**400}, "intercept is not finite"),
     ])
     def test_malformed_payload_errors(self, mutate, match, demo_model, tmp_path):
         path = tmp_path / "model.json"

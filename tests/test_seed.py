@@ -288,6 +288,7 @@ class TestLoadTemplates:
         ("bogus,r,a,rː,a,+", "template row 2: unknown delta name 'bogus'"),
         ("long,r,a,rː,a,*", r"template row 2: bad sign '\*'"),
         ("fortis,p,b,p͈,a,", "template row 2: bad sign ''"),
+        pytest.param("long,r,a,rː,a," + "+" * 200_000, "malformed CSV .*field limit", id="field-too-large"),
     ])
     def test_bad_row_named(self, row, match):
         with pytest.raises(InputError, match=match):
