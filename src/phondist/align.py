@@ -13,12 +13,22 @@ ScoringScheme builds once, takes O(n·m) time, keeps two score rows (O(m)
 memory) and n·m bytes of traceback moves. Ties go to the diagonal, then a
 left-word segment against a gap, then a right-word segment against a gap; a
 local alignment ends at the first best cell in row-major order.
+
+All-pairs cognancy needs scores only, so `cognancy_matrix` runs the same
+recurrence without a traceback, batched across word pairs (the
+inter-sequence layout of SWIPE, Rognes 2011): each DP cell is one numpy
+operation over a chunk of up to _PAIR_CHUNK pairs, taken in row-major order.
+Its working memory is set by the chunk and the longest word, not by the
+length of the list. It makes the same choices in the same tie order with the
+same float additions, so every score equals the per-pair aligner's bit for bit.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, combinations, islice
 from typing import Sequence
+
+import numpy as np
 
 from . import textio
 from .errors import InputError, UnknownSegmentError
@@ -34,6 +44,11 @@ Column = tuple[str | None, str | None]  # (left token, right token), None = gap
 # Traceback moves, one byte per DP cell. _STOP ends a local alignment (the
 # cell was floored) and marks the origin of a global one.
 _STOP, _DIAG, _UP, _LEFT = 0, 1, 2, 3
+
+# Word pairs scored together by cognancy_matrix, set by peak memory: its working
+# arrays hold a few (longest word + 1) x _PAIR_CHUNK floats, about 0.7 MB for
+# words of up to 8 segments. Larger chunks save little time and add to the peak.
+_PAIR_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -97,11 +112,6 @@ def gap_score(s: ScoringScheme, x: str) -> float:
     return s.sigma * (s.center - s.matrix.get(x, NULL_GRAPHEME))
 
 
-def tokens_for(s: ScoringScheme, word: "str | Sequence[str]") -> list[str]:
-    """Tokenize a word against the matrix graphemes (a token list is checked)."""
-    return [s.matrix.segments[k] for k in _indices(s, word)]
-
-
 def global_align(s: ScoringScheme, left: "str | Sequence[str]", right: "str | Sequence[str]") -> Alignment:
     """Optimal global alignment (maximum total column score)."""
     return _align(s, _indices(s, left), _indices(s, right), local=False)
@@ -110,6 +120,10 @@ def global_align(s: ScoringScheme, left: "str | Sequence[str]", right: "str | Se
 def local_align(s: ScoringScheme, left: "str | Sequence[str]", right: "str | Sequence[str]") -> Alignment:
     """Best contiguous sub-alignment, floored at score 0 (may be empty)."""
     return _align(s, _indices(s, left), _indices(s, right), local=True)
+
+
+# The aligners whose scores cognancy_matrix reproduces in batches.
+_ALIGNERS = {"global": global_align, "local": local_align}
 
 
 def _indices(s: ScoringScheme, word: "str | Sequence[str]") -> list[int]:
@@ -184,21 +198,82 @@ def cognancy_matrix(
     words: Sequence[str],
     mode: str = "global",
 ) -> CognancyMatrix:
-    """All-pairs alignment scores (diagonal left undefined); each word is tokenized once."""
+    """All-pairs alignment scores (diagonal left undefined); each word is tokenized once.
+
+    A replaced module aligner (a profiler's wrapper, a test double) is called
+    once per pair instead of the batched kernel, so whatever wraps
+    `global_align` or `local_align` sees every pair.
+    """
     if len(words) < 2:
         raise InputError(f"need at least 2 words, got {len(words)}")
     if mode not in ("global", "local"):
         raise InputError(f"unknown alignment mode {mode!r}")
-    aligner = global_align if mode == "global" else local_align
-    tokens = [tokens_for(s, w) for w in words]
+    tokens = [_indices(s, w) for w in words]
     n = len(words)
     scores: list[list[float | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = aligner(s, tokens[i], tokens[j]).score
-            scores[i][j] = value
-            scores[j][i] = value
+    pairs = combinations(range(n), 2)  # row-major i < j, never all held at once
+    aligner = global_align if mode == "global" else local_align
+    if aligner is not _ALIGNERS[mode]:
+        seg = s.matrix.segments
+        segments = [[seg[k] for k in t] for t in tokens]
+        for i, j in pairs:
+            scores[i][j] = scores[j][i] = aligner(s, segments[i], segments[j]).score
+        return CognancyMatrix(tuple(words), scores)
+    lengths = np.array([len(t) for t in tokens])
+    padded = np.zeros((n, lengths.max()), dtype=np.intp)  # index 0 pads: any finite entry will do
+    for k, t in enumerate(tokens):
+        padded[k, : len(t)] = t
+    sim, gaps = np.array(s._sim), np.array(s._gaps)
+    # Python floats overflow to inf without a warning; so must the batch.
+    with np.errstate(all="ignore"):
+        while len(chunk := np.fromiter(chain.from_iterable(islice(pairs, _PAIR_CHUNK)), np.intp)):
+            left, right = chunk.reshape(-1, 2).T
+            values = _batch_scores(sim, gaps, padded, lengths, left, right, mode == "local")
+            for i, j, value in zip(left.tolist(), right.tolist(), values.tolist()):
+                scores[i][j] = scores[j][i] = value
     return CognancyMatrix(tuple(words), scores)
+
+
+def _batch_scores(sim, gaps, padded, lengths, left, right, local: bool) -> np.ndarray:
+    """_align's scores for the pairs (left[k], right[k]), one array element per pair.
+
+    Arrays are laid out (DP column, pair). A pair's words are padded past
+    their lengths; no cell it reads lies in the padding, since cell (i, j)
+    reads only cells above and to its left. Moves are chosen with strict `>`
+    in _align's order, so NaN and signed zeros fall as they do there.
+    """
+    nl, ml = lengths[left], lengths[right]
+    n, m = nl.max(), ml.max()
+    ri = padded[right, :m].T
+    gr = gaps[ri]
+    pairs = np.arange(len(left))
+    prev = np.zeros((m + 1, len(left)))
+    if local:
+        inside = np.arange(m + 1)[:, None] <= ml  # cells j <= m_k
+        score = np.zeros(len(left))
+    else:
+        for j in range(m):  # left-to-right additions, as accumulate() makes them
+            prev[j + 1] = prev[j] + gr[j]
+        score = prev[ml, pairs]  # read now for pairs with an empty left word
+    row = np.empty_like(prev)
+    for i in range(n):
+        li = padded[left, i]
+        g = gaps[li]
+        cand = prev[:-1] + sim[li, ri]  # the diagonal move, then up where it is better
+        up = prev[1:] + g
+        np.copyto(cand, up, where=up > cand)
+        row[0] = 0.0 if local else prev[0] + g
+        for j in range(m):  # the left-gap chain runs along the row
+            lft = row[j] + gr[j]
+            best = np.where(lft > cand[j], lft, cand[j])
+            row[j + 1] = np.where(best > 0.0, best, 0.0) if local else best
+        if local:  # floored cells are never NaN or -0.0, so maximum is exact here
+            top = np.where(inside, row, 0.0).max(axis=0)
+            score = np.where(i < nl, np.maximum(score, top), score)
+        else:
+            score = np.where(nl == i + 1, row[ml, pairs], score)
+        prev, row = row, prev
+    return score
 
 
 def format_cognancy_tsv(cm: CognancyMatrix, threshold: float | None = None, header: str = "") -> str:

@@ -102,7 +102,7 @@ def load_reference_matrix(source: str | Path | TextIO) -> DistanceMatrix:
     matrix is exactly symmetrized from the lower triangle either way.
     """
     names, rows = textio.read_table(source, ragged=True)
-    if not names or not all(names):
+    if not names:
         raise InputError("matrix header row is malformed")
     n = len(names)
     if len(rows) != n:

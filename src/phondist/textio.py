@@ -1,7 +1,7 @@
 """Reading and writing the package's text files.
 
 Every file the package reads or writes is UTF-8 text, given either as a path
-or as an already-open handle; a path may start with a byte-order mark. Readers
+or as an already-open handle; either may start with a byte-order mark. Readers
 skip blank lines and "#" comments, hand out stripped, NFC-normalized cells
 with the file's own line numbers, and raise InputError with a one-line message
 for a file that is not valid UTF-8, CSV or JSON or whose rows have the wrong
@@ -10,6 +10,7 @@ error a file causes.
 """
 
 import csv
+import io
 import json
 import unicodedata
 from contextlib import contextmanager
@@ -24,17 +25,19 @@ T = TypeVar("T")
 @contextmanager
 def _opened(target: str | Path | TextIO, mode: str = "r", newline: str | None = None) -> Iterator[TextIO]:
     if isinstance(target, (str, Path)):
-        encoding = "utf-8-sig" if mode == "r" else "utf-8"
-        with open(target, mode, encoding=encoding, newline=newline) as handle:
+        with open(target, mode, encoding="utf-8", newline=newline) as handle:
             yield handle
     else:
         yield target
 
 
 def _parse(source: str | Path | TextIO, parse: Callable[[TextIO], T], newline: str | None = None) -> T:
+    """`parse` applied to the text of `source`, from a path or a handle alike, without
+    a leading byte-order mark."""
     try:
         with _opened(source, newline=newline) as handle:
-            return parse(handle)
+            text = handle.read().removeprefix("\ufeff")
+        return parse(io.StringIO(text, newline=newline))
     except UnicodeDecodeError as exc:
         problem = f"not valid UTF-8 ({exc.reason})"
     except json.JSONDecodeError as exc:
@@ -69,6 +72,8 @@ def read_table(source: str | Path | TextIO, ragged: bool = False) -> tuple[list[
     (_, header), *rows = [(lineno, [nfc(cell) for cell in text.split("\t")]) for lineno, text in lines]
     if header[0] != "segment":
         raise InputError('table header must start with a "segment" column')
+    if "" in header:
+        raise InputError(f"table header column {header.index('') + 1} has no name")
     if not ragged:
         for lineno, cells in rows:
             _check_width(lineno, cells, len(header))

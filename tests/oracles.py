@@ -10,9 +10,9 @@ shares no code with the implementation under test, except where noted:
 - tokenization by exhaustive segmentation search,
 - global and local alignment by the full-table loops the package used before
   its single rolling-row kernel. They share with the package only the
-  scoring helpers `similarity`, `gap_score` and `tokens_for`, and serve as
-  the reference for columns and tie-breaks, which the enumerations above do
-  not check.
+  scoring helpers `similarity` and `gap_score` and, through `tokens_for`,
+  the tokenizer, and serve as the reference for columns and tie-breaks,
+  which the enumerations above do not check.
 """
 
 import math
@@ -20,7 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from phondist.align import Alignment, Column, ScoringScheme, gap_score, similarity, tokens_for
+from phondist.align import Alignment, Column, ScoringScheme, gap_score, similarity
+from phondist.errors import UnknownSegmentError
+from phondist.features import tokenize
 
 
 def enumerate_global_score(left, right, sim, gap):
@@ -150,6 +152,16 @@ def leftmost_longest(segmentations):
     greatest, i.e. the one a greedy longest-match scan produces when it never
     dead-ends."""
     return max(segmentations, key=lambda seg: [len(t) for t in seg])
+
+
+def tokens_for(s: ScoringScheme, word: "str | Sequence[str]") -> list[str]:
+    """Tokenize a word against the matrix graphemes (a token list is checked)."""
+    if isinstance(word, str):
+        return tokenize(word, set(s.matrix.segments)) if word.strip() else []
+    for t in word:
+        if t not in s.matrix:
+            raise UnknownSegmentError(t, where="matrix")
+    return list(word)
 
 
 def global_align(s: ScoringScheme, left: "str | Sequence[str]", right: "str | Sequence[str]") -> Alignment:

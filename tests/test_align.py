@@ -1,5 +1,8 @@
 import itertools
 import random
+import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,18 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phondist as pd
+from phondist import align
 from phondist.align import (
     ScoringScheme,
     format_alignment,
     format_cognancy_tsv,
     gap_score,
     similarity,
-    tokens_for,
 )
 from phondist.errors import InputError, UnknownSegmentError
 from phondist.matrix import DistanceMatrix
 
-from oracles import enumerate_global_score, enumerate_local_score
+from oracles import enumerate_global_score, enumerate_local_score, tokens_for
 
 TEST1_WORDS = ["woldemort", "waldemar", "wladimir", "vladymir"]
 
@@ -317,6 +320,93 @@ class TestCognancyMatrix:
                 if cell != "-":
                     assert cell[0] in "+-"
                     assert len(cell.split(".")[1]) == 2
+
+
+def pairwise_score_reprs(s, words, mode):
+    """repr of every score as the per-pair aligner gives it for i < j, mirrored below."""
+    aligner = pd.global_align if mode == "global" else pd.local_align
+    n = len(words)
+    reprs = [[None] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        reprs[i][j] = reprs[j][i] = repr(aligner(s, words[i], words[j]).score)
+    return reprs
+
+
+def cognancy_score_reprs(s, words, mode):
+    cm = pd.cognancy_matrix(s, words, mode)
+    for i, row in enumerate(cm.scores):
+        for j, value in enumerate(row):
+            assert value is cm.scores[j][i]  # one float per pair, as the per-pair loop stored it
+    return [[None if v is None else repr(v) for v in row] for row in cm.scores]
+
+
+def list_words(graphemes, seed):
+    """Words of 0-12 segments, two of each length, plus duplicates of an empty,
+    a one-segment and a long word."""
+    rng = random.Random(seed)
+    words = ["".join(rng.choices(graphemes, k=n)) for n in range(13) for _ in range(2)]
+    return words + ["", graphemes[0], words[-1]]
+
+
+class TestBatchedCognancyIsExact:
+    """cognancy_matrix scores pairs in batches; each score must be the per-pair aligner's, bit for bit."""
+
+    @pytest.mark.parametrize("chunk", [None, 1, 7, 64])
+    @pytest.mark.parametrize("gap_mode", ["constant", "null_column"])
+    @pytest.mark.parametrize("mode", ["global", "local"])
+    def test_every_score_repr_matches(self, demo_matrix, mode, gap_mode, chunk, monkeypatch):
+        if chunk is not None:  # chunks smaller than the list's 406 pairs cross row and chunk edges
+            monkeypatch.setattr(align, "_PAIR_CHUNK", chunk)
+        s = ScoringScheme(matrix=demo_matrix, gap_mode=gap_mode)
+        words = list_words([g for g in demo_matrix.segments if g != "∅"], seed=0)
+        assert cognancy_score_reprs(s, words, mode) == pairwise_score_reprs(s, words, mode)
+
+    @pytest.mark.parametrize("mode", ["global", "local"])
+    def test_overflow_to_infinity_matches_without_warnings(self, demo_matrix, mode):
+        s = ScoringScheme(matrix=demo_matrix, sigma=1e308, gap_mode="null_column")
+        words = list_words([g for g in demo_matrix.segments if g != "∅"], seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # Python floats overflow silently
+            got = cognancy_score_reprs(s, words, mode)
+        assert got == pairwise_score_reprs(s, words, mode)
+        assert any(r in ("inf", "-inf") for row in got for r in row)
+
+    @pytest.mark.parametrize("mode", ["global", "local"])
+    def test_own_aligners_are_batched_and_a_replaced_one_gets_every_pair(self, demo_matrix, mode, monkeypatch):
+        scheme = ScoringScheme(matrix=demo_matrix)
+        batched = pd.cognancy_matrix(scheme, TEST1_WORDS, mode).scores
+        calls = []
+        aligner = align._ALIGNERS[mode]
+        monkeypatch.setattr(align, f"{mode}_align", lambda *a: calls.append(a) or aligner(*a))
+        assert pd.cognancy_matrix(scheme, TEST1_WORDS, mode).scores == batched
+        assert len(calls) == 6  # the replacement, once per pair
+        monkeypatch.undo()
+        monkeypatch.setattr(align, "_align", None)  # the batched path runs no per-pair DP
+        assert pd.cognancy_matrix(scheme, TEST1_WORDS, mode).scores == batched
+
+    @pytest.mark.parametrize("bad", ["a#k", ["a", "q"]])
+    def test_unknown_segment_raises_as_the_aligner_does(self, scheme, bad):
+        with pytest.raises(InputError) as want:
+            pd.global_align(scheme, bad, "a")
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            pd.cognancy_matrix(scheme, ["ak", bad, "ki"], "local")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        words=st.lists(
+            st.lists(st.sampled_from(["a", "i", "u", "p", "t", "k", "m", "s"]), max_size=12),
+            min_size=2,
+            max_size=9,
+        ),
+        gap_mode=st.sampled_from(["constant", "null_column"]),
+        mode=st.sampled_from(["global", "local"]),
+        chunk=st.integers(1, 40),
+    )
+    def test_hypothesis_lists(self, demo_matrix, words, gap_mode, mode, chunk):
+        s = ScoringScheme(matrix=demo_matrix, gap_mode=gap_mode)
+        words = ["".join(w) for w in words]
+        with mock.patch.object(align, "_PAIR_CHUNK", chunk):  # per example, not per test call
+            assert cognancy_score_reprs(s, words, mode) == pairwise_score_reprs(s, words, mode)
 
 
 def is_marked_cognate(score: float, threshold: float) -> bool:

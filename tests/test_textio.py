@@ -1,7 +1,8 @@
-"""Text input: byte-order marks and the file's own line numbers.
+"""Text input: byte-order marks, header names and the file's own line numbers.
 
 A file that starts with a UTF-8 byte-order mark, as some editors write it,
-must load exactly as the same file without one.
+must load exactly as the same file without one, whether the loader is given
+its path or a handle opened on it.
 """
 
 import codecs
@@ -11,6 +12,7 @@ import pytest
 
 import phondist as pd
 from phondist import textio
+from phondist.errors import InputError
 
 
 def _inventory():
@@ -43,8 +45,8 @@ LOADERS = {
 }
 
 
-@pytest.mark.parametrize("role", [*LOADERS, "model"])
-def test_byte_order_mark_is_skipped(role, demo_model, tmp_path):
+def _marked_copy(role, demo_model, tmp_path):
+    """(original path, a copy of it behind a byte-order mark, the role's loader)."""
     if role == "model":
         original, load = tmp_path / "model.json", pd.load_model
         pd.save_model(demo_model, original)
@@ -53,7 +55,29 @@ def test_byte_order_mark_is_skipped(role, demo_model, tmp_path):
         original = pd.bundled_path(name)
     marked = tmp_path / f"marked-{original.name}"
     marked.write_bytes(codecs.BOM_UTF8 + original.read_bytes())
+    return original, marked, load
+
+
+@pytest.mark.parametrize("role", [*LOADERS, "model"])
+def test_byte_order_mark_is_skipped(role, demo_model, tmp_path):
+    original, marked, load = _marked_copy(role, demo_model, tmp_path)
     assert load(marked) == load(original)
+
+
+@pytest.mark.parametrize("role", [*LOADERS, "model"])
+def test_byte_order_mark_is_skipped_on_open_handles(role, demo_model, tmp_path):
+    original, marked, load = _marked_copy(role, demo_model, tmp_path)
+    with open(marked, encoding="utf-8") as handle:
+        assert load(handle) == load(original)
+
+
+@pytest.mark.parametrize("load,text", [
+    (pd.load_feature_table, "segment\tlong\t\tshort\np\t+\t-\t-\n"),
+    (pd.load_reference_matrix, "segment\ta\t\na\t0\n"),
+], ids=["features", "matrix"])
+def test_empty_column_name_rejected(load, text):
+    with pytest.raises(InputError, match="^table header column 3 has no name$"):
+        load(io.StringIO(text))
 
 
 def test_csv_rows_carry_file_line_numbers():
