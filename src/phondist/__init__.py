@@ -34,7 +34,6 @@ from .matrix import (
 )
 from .model import (
     LinearModel,
-    encode_pair,
     fit,
     load_model,
     predict_distance,

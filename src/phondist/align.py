@@ -279,8 +279,10 @@ def _batch_scores(sim, gaps, padded, lengths, left, right, local: bool) -> np.nd
 def format_cognancy_tsv(cm: CognancyMatrix, threshold: float | None = None, header: str = "") -> str:
     """Render the score matrix as TSV: "-" diagonal, signed 2-decimal entries.
 
-    With a threshold, entries at or above it get a "*" suffix.
+    With a threshold (not NaN), entries at or above it get a "*" suffix.
     """
+    if threshold is not None and math.isnan(threshold):
+        raise InputError("threshold must not be NaN")
     def rows():  # one row at a time: an n-word table has n² cells
         yield ["word", *cm.words]
         for word, scores in zip(cm.words, cm.scores):

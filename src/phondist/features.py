@@ -42,7 +42,7 @@ class Segment:
 
     grapheme: str
     features: FeatureVector
-    system_fingerprint: str = ""
+    system_fingerprint: str
 
     def __repr__(self) -> str:
         return f"Segment({self.grapheme!r})"

@@ -26,14 +26,14 @@ Predicted distances are clamped to the dimensionless [0, 1] scale and a
 segment's distance to itself is 0 by definition, not by training. The encoding
 (`encode_pairs`) and the prediction (`predict_rows`) each live in one function;
 build_matrix checks the feature-system fingerprint once per inventory,
-encode_pair and predict_distance once per segment.
+predict_distance once per segment pair. A LinearModel checks its own
+invariants, however it was made, so load_model only parses.
 
 Models are saved and loaded as UTF-8 JSON through textio.
 """
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
@@ -70,6 +70,20 @@ class LinearModel:
     feature_names: tuple[str, ...]
     feature_fingerprint: str
 
+    def __post_init__(self) -> None:
+        # Predictors are saved by name and the fingerprint joins the names with tabs.
+        if len(set(self.feature_names)) != len(self.feature_names) or "\t" in "".join(self.feature_names):
+            raise InputError("model feature names must be distinct and contain no tab")
+        if self.feature_fingerprint != fingerprint_features(self.feature_names):
+            raise InputError("model fingerprint does not match its feature_names")
+        if len(self.coefficients) != (expected := 2 * len(self.feature_names)):
+            raise InputError(f"model has {len(self.coefficients)} coefficients, expected {expected}")
+        values = (self.lam, self.intercept, *self.coefficients)
+        if not all(map(math.isfinite, values)):  # name the first non-finite value only when there is one
+            names = ("lambda", "intercept", *(f"coefficient {p!r}" for p in self.predictor_names))
+            raise InputError(next(f"model {n} is not finite" for n, v in zip(names, values) if not math.isfinite(v)))
+        _checked_lambda(self.lam)
+
     @property
     def predictor_names(self) -> tuple[str, ...]:
         return tuple(
@@ -83,17 +97,6 @@ def encode_pairs(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
     return np.concatenate([fa & fb, ~fa & ~fb], axis=1).astype(float)
 
 
-def encode_pair(a: Segment, b: Segment) -> np.ndarray:
-    """Symmetric 2F predictor vector for one segment pair."""
-    if len(a.features) != len(b.features):
-        raise InputError(
-            f"feature width mismatch: {a.grapheme!r} has {len(a.features)}, "
-            f"{b.grapheme!r} has {len(b.features)}"
-        )
-    _same_system(f"segments {a.grapheme!r} and {b.grapheme!r}", a.system_fingerprint, b.system_fingerprint)
-    return encode_pairs(np.array([a.features], dtype=bool), np.array([b.features], dtype=bool))[0]
-
-
 def predict_rows(m: LinearModel, X: np.ndarray) -> np.ndarray:
     """Clamped distances for design rows X. Each row is one BLAS dot: a matrix
     product sums in another order, moving entries by up to ~2e-15 and the
@@ -102,11 +105,10 @@ def predict_rows(m: LinearModel, X: np.ndarray) -> np.ndarray:
     return np.array([min(1.0, max(0.0, m.intercept + float(x @ w))) for x in X])
 
 
-def _checked_lambda(lam: float) -> float:
-    """The ridge strength, once checked to lie in [0, inf); fit and load_model both use it."""
+def _checked_lambda(lam: float) -> None:
+    """The ridge strength must lie in [0, inf); fit checks it before solving, LinearModel on construction."""
     if not 0 <= lam < math.inf:
         raise InputError(f"lambda must be finite and >= 0, got {lam}")
-    return lam
 
 
 def fit(ds: SeedDataset, inv: Inventory, lam: float = DEFAULT_LAMBDA) -> LinearModel:
@@ -163,7 +165,7 @@ def predict_distance(m: LinearModel, a: Segment, b: Segment) -> float:
                  m.feature_fingerprint, a.system_fingerprint, b.system_fingerprint)
     if a.grapheme == b.grapheme:
         return 0.0
-    return float(predict_rows(m, encode_pair(a, b)[None])[0])
+    return float(predict_rows(m, encode_pairs(*np.array([[a.features], [b.features]], dtype=bool)))[0])
 
 
 def save_model(m: LinearModel, sink: str | Path | TextIO) -> None:
@@ -180,7 +182,7 @@ def save_model(m: LinearModel, sink: str | Path | TextIO) -> None:
 
 
 def load_model(source: str | Path | TextIO) -> LinearModel:
-    """Read a model JSON file back, validating shape and fingerprint."""
+    """Read a model JSON file back, checking its shape and JSON types; LinearModel checks the values."""
     payload = textio.read_json(source)
     if not isinstance(payload, dict):
         raise InputError("model file must hold a JSON object")
@@ -196,15 +198,11 @@ def load_model(source: str | Path | TextIO) -> LinearModel:
     if not isinstance(payload["coefficients"], dict):
         raise InputError("model coefficients must be an object")
     names = tuple(payload["feature_names"])
-    fingerprint = payload["fingerprint"]
-    if fingerprint != fingerprint_features(names):
-        raise InputError("model fingerprint does not match its feature_names")
     def _num(value, what):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InputError(f"model {what} is not a number")
-        if not -sys.float_info.max <= value <= sys.float_info.max:  # also an int too large for a float
-            raise InputError(f"model {what} is not finite")
-        return float(value)
+        # Through str, an int past the float range reads as ±inf instead of raising OverflowError.
+        return float(str(value) if isinstance(value, int) else value)
 
     coeff_map = payload["coefficients"]
     ordered = []
@@ -215,7 +213,7 @@ def load_model(source: str | Path | TextIO) -> LinearModel:
     return LinearModel(
         intercept=_num(payload["intercept"], "intercept"),
         coefficients=tuple(ordered),
-        lam=_checked_lambda(_num(payload["lambda"], "lambda")),
+        lam=_num(payload["lambda"], "lambda"),
         feature_names=names,
-        feature_fingerprint=fingerprint,
+        feature_fingerprint=payload["fingerprint"],
     )

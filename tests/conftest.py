@@ -6,6 +6,7 @@ import pytest
 
 import phondist as pd
 from phondist import bundled_path
+from phondist.model import encode_pairs
 from phondist.seed import SeedDataset, SimilarityRecord
 
 # ---------------------------------------------------------------------------
@@ -131,16 +132,14 @@ def synthetic_dataset(n_rows, weights, intercept, inv, rng):
         if key in seen:
             continue
         seen.add(key)
-        x = pd.encode_pair(inv.get_segment(a), inv.get_segment(b))
+        x = encode_pairs(inv.feature_rows([a]), inv.feature_rows([b]))[0]
         records.append(SimilarityRecord(a, b, intercept + float(x @ weights), "seed"))
     return SeedDataset(records, inv)
 
 
 def design_of(ds, inv):
-    X = np.vstack([
-        pd.encode_pair(inv.get_segment(r.seg_a), inv.get_segment(r.seg_b))
-        for r in ds.records
-    ])
+    X = encode_pairs(inv.feature_rows([r.seg_a for r in ds.records]),
+                     inv.feature_rows([r.seg_b for r in ds.records]))
     y = np.array([r.score for r in ds.records])
     return X, y
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import warnings
@@ -425,6 +426,14 @@ class TestDecideCognate:
 
     def test_boundary_inclusive(self):
         assert is_marked_cognate(5.0, 5.0)
+
+    def test_infinite_thresholds_mark_all_or_nothing(self):
+        assert is_marked_cognate(-1e308, -math.inf)
+        assert not is_marked_cognate(1e308, math.inf)
+
+    def test_nan_threshold_errors(self):
+        with pytest.raises(InputError, match="threshold must not be NaN"):
+            is_marked_cognate(1.0, math.nan)
 
 
 class TestFormatting:

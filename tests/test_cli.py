@@ -260,6 +260,13 @@ class TestCognates:
         out = capsys.readouterr().out
         assert "*" in out
 
+    def test_nan_threshold_exit_2(self, demo_matrix_file, capsys):
+        code = run("cognates", "--matrix", str(demo_matrix_file),
+                   "--words", DATA["test1"], "--threshold", "nan")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "phondist cognates: error: threshold must not be NaN\n"
+
     def test_single_word_list_exit_2(self, demo_matrix_file, tmp_path, capsys):
         words = tmp_path / "one.txt"
         words.write_text("woldemort\n", encoding="utf-8")

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import random
@@ -9,27 +10,29 @@ from hypothesis import strategies as st
 
 import phondist as pd
 from phondist.errors import InputError
-from phondist.model import FingerprintError, LinearModel
+from phondist.features import fingerprint_features
+from phondist.model import FingerprintError, LinearModel, encode_pairs
 from phondist.seed import SeedDataset, SimilarityRecord
 
 from conftest import design_of, mini_inventory, random_inventory, synthetic_dataset
 from oracles import normal_equations
 
 
+def encode(inv, a, b):
+    """The design row of one segment pair."""
+    return encode_pairs(inv.feature_rows([a]), inv.feature_rows([b]))[0]
+
+
 class TestEncodePair:
     def test_both_minus_strident(self, demo_inventory):
-        a = demo_inventory.get_segment("m")
-        b = demo_inventory.get_segment("n")
-        x = pd.encode_pair(a, b)
+        x = encode(demo_inventory, "m", "n")
         idx = demo_inventory.feature_names.index("strident")
         F = len(demo_inventory.feature_names)
         assert x[F + idx] == 1.0  # bothMinus:strident
         assert x[idx] == 0.0
 
     def test_mismatch_leaves_both_indicators_off(self, demo_inventory):
-        a = demo_inventory.get_segment("p")  # -periodicGlottalSource
-        b = demo_inventory.get_segment("b")  # +periodicGlottalSource
-        x = pd.encode_pair(a, b)
+        x = encode(demo_inventory, "p", "b")  # -periodicGlottalSource, +periodicGlottalSource
         idx = demo_inventory.feature_names.index("periodicGlottalSource")
         F = len(demo_inventory.feature_names)
         assert x[idx] == 0.0 and x[F + idx] == 0.0
@@ -38,20 +41,13 @@ class TestEncodePair:
     @given(st.data())
     def test_symmetry(self, demo_inventory, data):
         graphemes = sorted(demo_inventory.graphemes)
-        a = demo_inventory.get_segment(data.draw(st.sampled_from(graphemes)))
-        b = demo_inventory.get_segment(data.draw(st.sampled_from(graphemes)))
-        assert np.array_equal(pd.encode_pair(a, b), pd.encode_pair(b, a))
-
-    def test_width_mismatch_errors(self, demo_inventory):
-        other = mini_inventory()
-        with pytest.raises((InputError, FingerprintError)):
-            pd.encode_pair(demo_inventory.get_segment("p"), other.get_segment("p"))
+        a = data.draw(st.sampled_from(graphemes))
+        b = data.draw(st.sampled_from(graphemes))
+        assert np.array_equal(encode(demo_inventory, a, b), encode(demo_inventory, b, a))
 
     def test_at_most_one_indicator_per_feature(self, demo_inventory):
         F = len(demo_inventory.feature_names)
-        a = demo_inventory.get_segment("t͡s")
-        b = demo_inventory.get_segment("u̘")
-        x = pd.encode_pair(a, b)
+        x = encode(demo_inventory, "t͡s", "u̘")
         assert not np.any((x[:F] == 1.0) & (x[F:] == 1.0))
 
 
@@ -137,13 +133,7 @@ class TestFit:
 
     def test_fitted_solution_is_local_optimum(self, demo_dataset, demo_inventory):
         m = pd.fit(demo_dataset, demo_inventory, lam=1e-4)
-        X = np.vstack([
-            pd.encode_pair(
-                demo_inventory.get_segment(r.seg_a), demo_inventory.get_segment(r.seg_b)
-            )
-            for r in demo_dataset.records
-        ])
-        y = np.array([r.score for r in demo_dataset.records])
+        X, y = design_of(demo_dataset, demo_inventory)
         w = np.asarray(m.coefficients)
 
         def objective(intercept, coefs):
@@ -231,6 +221,58 @@ class TestPredictDistance:
         assert 0.0 <= d_ab <= 1.0
         if a.grapheme == b.grapheme:
             assert d_ab == 0.0
+
+
+def model_of(inv, **changes):
+    """A zero model over `inv`'s features with the given fields changed."""
+    fields = dict(intercept=0.5, coefficients=(0.0,) * (2 * len(inv.feature_names)), lam=0.0,
+                  feature_names=inv.feature_names, feature_fingerprint=inv.fingerprint)
+    return LinearModel(**{**fields, **changes})
+
+
+class TestModelInvariants:
+    @pytest.mark.parametrize("changes,match", [
+        (dict(lam=-1.0), "lambda must be finite and >= 0, got -1.0"),
+        (dict(lam=math.nan), "model lambda is not finite"),
+        (dict(lam=math.inf), "model lambda is not finite"),
+        (dict(lam=-math.inf), "model lambda is not finite"),
+        (dict(feature_fingerprint="0" * 64), "fingerprint does not match its feature_names"),
+        (dict(coefficients=(0.0,) * 39), "model has 39 coefficients, expected 40"),
+        (dict(coefficients=(0.0,) * 41), "model has 41 coefficients, expected 40"),
+        (dict(coefficients=()), "model has 0 coefficients, expected 40"),
+        (dict(intercept=math.nan), "model intercept is not finite"),
+        (dict(intercept=-math.inf), "model intercept is not finite"),
+        (dict(coefficients=(0.0,) * 39 + (math.inf,)), "coefficient 'bothMinus:tense' is not finite"),
+        (dict(coefficients=(math.nan,) + (0.0,) * 39), "coefficient 'bothPlus:consonantal' is not finite"),
+        (dict(feature_names=("long", "long"), feature_fingerprint=fingerprint_features(("long", "long")),
+              coefficients=(0.0,) * 4), "must be distinct"),
+        # ("a\tb",) shares its fingerprint with the two features ("a", "b")
+        (dict(feature_names=("a\tb",), feature_fingerprint=fingerprint_features(("a", "b")),
+              coefficients=(0.0,) * 2), "contain no tab"),
+    ], ids=["negative-lambda", "nan-lambda", "inf-lambda", "minus-inf-lambda", "fingerprint",
+            "short", "long", "empty", "nan-intercept", "inf-intercept", "inf-coefficient",
+            "nan-coefficient", "duplicate-names", "tab-in-name"])
+    def test_invalid_model_errors(self, changes, match):
+        with pytest.raises(InputError, match=match):
+            model_of(mini_inventory(), **changes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(names=st.lists(st.text(max_size=6), max_size=4), intercept=st.floats(),
+           lam=st.floats(), data=st.data())
+    def test_every_constructed_model_round_trips(self, names, intercept, lam, data):
+        coefficients = tuple(data.draw(st.lists(st.floats(), min_size=2 * len(names),
+                                                max_size=2 * len(names))))
+        try:
+            m = LinearModel(intercept, coefficients, lam, tuple(names), fingerprint_features(names))
+        except InputError:
+            assert (len(set(names)) < len(names) or "\t" in "".join(names) or lam < 0
+                    or not all(map(math.isfinite, (lam, intercept, *coefficients))))
+            return
+        sink = io.StringIO()
+        pd.save_model(m, sink)
+        loaded = pd.load_model(io.StringIO(sink.getvalue()))
+        assert loaded == m
+        assert repr(loaded) == repr(m)  # bit for bit, -0.0 included
 
 
 class TestSaveLoad:
