@@ -9,10 +9,19 @@ linear, with no affine open/extend distinction.
 One dynamic program (`_align`) serves both modes: local alignment floors each
 cell at 0, global alignment does not (a floor of -inf), so an empty local
 alignment is always admissible. It reads only the integer-indexed tables a
-ScoringScheme builds once, takes O(n·m) time, keeps two score rows (O(m)
-memory) and n·m bytes of traceback moves. Ties go to the diagonal, then a
-left-word segment against a gap, then a right-word segment against a gap; a
+ScoringScheme builds once and takes O(n·m) time. Ties go to the diagonal, then
+a left-word segment against a gap, then a right-word segment against a gap; a
 local alignment ends at the first best cell in row-major order.
+
+The table is filled in one of two layouts, chosen by size. Below the threshold
+(_WAVEFRONT_DIAGONAL) `_rows` fills it row by row and keeps two score rows of
+m+1 floats. At or above it, `_wavefront` fills it one anti-diagonal at a time
+(Wozniak 1997) and keeps three score diagonals of n+1 floats. The threshold is
+a mean anti-diagonal of 100 cells, n·m >= 100·(n+m): two 200-segment words and
+up. Both write the same n·m bytes of traceback moves, about 1 MB for two
+1,000-segment words, into one table that one traceback reads. Both make the
+same float additions in the same tie order, so the layout changes the speed
+and never the alignment.
 
 All-pairs cognancy needs scores only, so `cognancy_matrix` runs the same
 recurrence without a traceback, batched across word pairs (the
@@ -50,6 +59,12 @@ _STOP, _DIAG, _UP, _LEFT = 0, 1, 2, 3
 # words of up to 8 segments. Larger chunks save little time and add to the peak.
 _PAIR_CHUNK = 1024
 
+# _align fills a table by anti-diagonals when they average at least this many
+# cells, n·m / (n + m): each diagonal costs a dozen numpy calls whatever its
+# length. 100 is the measured crossover (two 200-segment words). A 2,000 x 20
+# pair has as many cells, but stays on rows, where it runs three times faster.
+_WAVEFRONT_DIAGONAL = 100
+
 
 @dataclass(frozen=True)
 class ScoringScheme:
@@ -77,6 +92,10 @@ class ScoringScheme:
                 else sim[:, self.matrix.index(NULL_GRAPHEME)].tolist())
         object.__setattr__(self, "_sim", sim.tolist())
         object.__setattr__(self, "_gaps", gaps)
+        gap_array = np.array(gaps)
+        sim.flags.writeable = gap_array.flags.writeable = False
+        object.__setattr__(self, "_sim_array", sim)
+        object.__setattr__(self, "_gap_array", gap_array)
         object.__setattr__(self, "_index", self.matrix._index)
 
 
@@ -143,7 +162,32 @@ def _indices(s: ScoringScheme, word: "str | Sequence[str]") -> list[int]:
 def _align(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> Alignment:
     """The dynamic program behind both aligners. A cell takes the first best of
     the diagonal, up (left token vs gap) and left (gap vs right token) moves;
-    in local mode a cell not above 0 is floored at 0, where an alignment starts."""
+    in local mode a cell not above 0 is floored at 0, where an alignment starts.
+    Small pairs fill the table row by row, large ones one anti-diagonal at a
+    time; both write the same moves and scores."""
+    n, m = len(li), len(ri)
+    fill = _wavefront if n * m >= _WAVEFRONT_DIAGONAL * (n + m) else _rows
+    moves, score, (i, j) = fill(s, li, ri, local)
+    width = m + 1
+    seg = s.matrix.segments
+    columns: list[Column] = []
+    while (which := moves[i * width + j]) != _STOP:
+        if which == _DIAG:
+            i -= 1
+            j -= 1
+            columns.append((seg[li[i]], seg[ri[j]]))
+        elif which == _UP:
+            i -= 1
+            columns.append((seg[li[i]], None))
+        else:
+            j -= 1
+            columns.append((None, seg[ri[j]]))
+    columns.reverse()
+    return Alignment(tuple(columns), score)
+
+
+def _rows(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> tuple[bytes, float, tuple[int, int]]:
+    """_align's move table (cell (i, j) at i·(m+1)+j), score and end cell, one row at a time."""
     n, m = len(li), len(ri)
     gl = [s._gaps[k] for k in li]
     gr = [s._gaps[k] for k in ri]
@@ -174,23 +218,76 @@ def _align(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> Align
         prev = row
         if local and (top := max(row)) > best_score:
             best_score, best_cell = top, (i + 1, row.index(top))
+    if local:
+        return b"".join(moves), best_score, best_cell
+    return b"".join(moves), prev[m], (n, m)
 
-    i, j = best_cell if local else (n, m)
-    seg = s.matrix.segments
-    columns: list[Column] = []
-    while (which := moves[i][j]) != _STOP:
-        if which == _DIAG:
-            i -= 1
-            j -= 1
-            columns.append((seg[li[i]], seg[ri[j]]))
-        elif which == _UP:
-            i -= 1
-            columns.append((seg[li[i]], None))
-        else:
-            j -= 1
-            columns.append((None, seg[ri[j]]))
-    columns.reverse()
-    return Alignment(tuple(columns), best_score if local else prev[m])
+
+def _wavefront(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> tuple[bytearray, float, tuple[int, int]]:
+    """_rows' result, computed one anti-diagonal d = i + j at a time (Wozniak 1997).
+
+    Diagonal buffers are indexed by i, so cell (i, d-i) reads cell i-1 of the
+    two previous diagonals (diagonal and up moves) and cell i of the last one
+    (left move). Each diagonal is a few numpy operations on slices of buffers
+    allocated once, with _rows' additions and its tie order: diagonal, then
+    up on a strictly greater score, then left on a strictly greater score.
+    """
+    n, m = len(li), len(ri)
+    width = m + 1
+    lidx = np.array(li, dtype=np.intp)
+    rrev = np.array(ri[::-1], dtype=np.intp)  # cell (i, d-i) reads ri[d-i-1] = rrev[m-d+i]
+    gl, grrev = s._gap_array[lidx], s._gap_array[rrev]
+    lrow = lidx * len(s._gaps)  # row offsets into the flat similarity table
+    sim = s._sim_array.ravel()
+    moves = bytearray(width * (n + 1))  # _STOP everywhere
+    table = np.frombuffer(moves, dtype=np.uint8)
+    if not local:  # the boundary row and column, added up as _rows adds them
+        top = list(accumulate((s._gaps[k] for k in ri), initial=0.0))
+        side = list(accumulate((s._gaps[k] for k in li), initial=0.0))
+        table[1:width] = _LEFT
+        table[width::width] = _UP
+    # Diagonals d-2, d-1 and d. Cells 0 and d of diagonal d are the boundary
+    # row and column; nothing else writes them, so in local mode they stay 0.0.
+    older, last, cur = np.zeros((3, n + 1))
+    at, cand, pick = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n, dtype=bool)
+    best_score, best_cell = 0.0, (0, 0)
+    with np.errstate(all="ignore"):  # Python floats overflow to inf without a warning
+        for d in range(n + m + 1):
+            if not local and d <= m:
+                cur[0] = top[d]
+            if not local and d <= n:
+                cur[d] = side[d]
+            lo, hi = max(1, d - m), min(n, d - 1)
+            if lo <= hi:
+                k, r = hi - lo + 1, m - d
+                h, c, p = cur[lo:hi + 1], cand[:k], pick[:k]
+                mv = table[d + lo * m:d + hi * m + 1:m]  # cells (lo, d-lo) .. (hi, d-hi)
+                np.add(lrow[lo - 1:hi], rrev[r + lo:r + hi + 1], out=at[:k])
+                sim.take(at[:k], out=c, mode="clip")  # indices are in range; "clip" skips a buffered copy
+                np.add(older[lo - 1:hi], c, out=h)
+                mv.fill(_DIAG)
+                np.add(last[lo - 1:hi], gl[lo - 1:hi], out=c)
+                np.greater(c, h, out=p)
+                np.copyto(h, c, where=p)
+                np.copyto(mv, _UP, where=p)
+                np.add(last[lo:hi + 1], grrev[r + lo:r + hi + 1], out=c)
+                np.greater(c, h, out=p)
+                np.copyto(h, c, where=p)
+                np.copyto(mv, _LEFT, where=p)
+                if local:
+                    np.logical_not(np.greater(h, 0.0, out=p), out=p)
+                    np.copyto(h, 0.0, where=p)
+                    np.copyto(mv, _STOP, where=p)
+                    # the first best cell in row-major order: first on this diagonal,
+                    # then against earlier diagonals by (i, j)
+                    a = int(h.argmax())
+                    score, cell = h.item(a), (lo + a, d - lo - a)
+                    if score > best_score or (score == best_score and cell < best_cell):
+                        best_score, best_cell = score, cell
+            older, last, cur = last, cur, older
+    if local:
+        return moves, best_score, best_cell
+    return moves, last.item(n), (n, m)
 
 
 def cognancy_matrix(
@@ -223,7 +320,7 @@ def cognancy_matrix(
     padded = np.zeros((n, lengths.max()), dtype=np.intp)  # index 0 pads: any finite entry will do
     for k, t in enumerate(tokens):
         padded[k, : len(t)] = t
-    sim, gaps = np.array(s._sim), np.array(s._gaps)
+    sim, gaps = s._sim_array, s._gap_array
     # Python floats overflow to inf without a warning; so must the batch.
     with np.errstate(all="ignore"):
         while len(chunk := np.fromiter(chain.from_iterable(islice(pairs, _PAIR_CHUNK)), np.intp)):
@@ -281,8 +378,7 @@ def format_cognancy_tsv(cm: CognancyMatrix, threshold: float | None = None, head
 
     With a threshold (not NaN), entries at or above it get a "*" suffix.
     """
-    if threshold is not None and math.isnan(threshold):
-        raise InputError("threshold must not be NaN")
+    _check_threshold(threshold)
     def rows():  # one row at a time: an n-word table has n² cells
         yield ["word", *cm.words]
         for word, scores in zip(cm.words, cm.scores):
@@ -296,6 +392,11 @@ def format_cognancy_tsv(cm: CognancyMatrix, threshold: float | None = None, head
             yield cells
 
     return textio.format_table(header, rows())
+
+
+def _check_threshold(threshold: float | None) -> None:
+    if threshold is not None and math.isnan(threshold):
+        raise InputError("threshold must not be NaN")
 
 
 def format_alignment(alignment: Alignment) -> str:

@@ -23,6 +23,7 @@ from .align import (
     DEFAULT_GAP,
     DEFAULT_SIGMA,
     ScoringScheme,
+    _check_threshold,
     cognancy_matrix,
     format_alignment,
     format_cognancy_tsv,
@@ -215,6 +216,7 @@ def cmd_align(args) -> int:
 
 def cmd_cognates(args) -> int:
     scheme = _scheme(args)
+    _check_threshold(args.threshold)  # before the all-pairs run, not after it
     with _naming(args.words):
         words = [text.strip() for _, text in textio.read_lines(args.words)]
         cm = cognancy_matrix(scheme, words, args.mode)

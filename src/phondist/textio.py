@@ -108,7 +108,14 @@ def _check_width(lineno: int, cells: list[str], width: int) -> None:
 
 def read_json(source: str | Path | TextIO) -> Any:
     """The parsed JSON document; its shape is the caller's to check."""
-    return _parse(source, json.load)
+    return _parse(source, lambda handle: json.load(handle, parse_int=_json_int))
+
+
+def _json_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than Python converts (sys.get_int_max_str_digits)
+        raise InputError(f"malformed JSON (an integer of {len(digits)} digits is too long)") from None
 
 
 def write_text(sink: str | Path | TextIO, text: str) -> None:

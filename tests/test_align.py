@@ -245,6 +245,64 @@ class TestLocalAlign:
         assert rights in "akim"
 
 
+class TestEnumerationPerKernel:
+    """The enumeration checks above, with every pair sent through one DP fill."""
+
+    def test_global_small(self, scheme, kernel):
+        TestGlobalAlign().test_matches_enumeration_oracle_small(scheme)
+
+    def test_global_longer_words(self, scheme, kernel):
+        TestGlobalAlign().test_score_equals_terminal_cell_on_longer_words(scheme)
+
+    def test_local_small(self, scheme, kernel):
+        TestLocalAlign().test_matches_enumeration_oracle_small(scheme)
+
+    def test_local_longer_words(self, scheme, kernel):
+        TestLocalAlign().test_matches_oracle_on_longer_words(scheme)
+
+
+def tie_prone_pair(matrix, n, m, seed):
+    """Words of n and m segments over three segments, so that many DP cells tie."""
+    rng = random.Random(seed)
+    alphabet = rng.sample([g for g in matrix.segments if g != "∅"], 3)
+    return rng.choices(alphabet, k=n), rng.choices(alphabet, k=m)
+
+
+class TestKernelDispatch:
+    """Pairs whose diagonals average align._WAVEFRONT_DIAGONAL cells or more are filled by anti-diagonals."""
+
+    @pytest.mark.parametrize("gap_mode", ["constant", "null_column"])
+    @pytest.mark.parametrize("n,m", [(201, 199), (200, 200)])
+    def test_pairs_at_the_threshold_agree_across_kernels(self, demo_matrix, n, m, gap_mode, monkeypatch):
+        assert n * m - align._WAVEFRONT_DIAGONAL * (n + m) in (-1, 0)  # just below it, and at it
+        s = ScoringScheme(matrix=demo_matrix, gap_mode=gap_mode)
+        left, right = tie_prone_pair(demo_matrix, n, m, seed=n)
+        other = 0 if n * m < align._WAVEFRONT_DIAGONAL * (n + m) else math.inf  # the fill not dispatched
+        for aligner in (pd.global_align, pd.local_align):
+            dispatched = aligner(s, left, right)
+            with monkeypatch.context() as patch:
+                patch.setattr(align, "_WAVEFRONT_DIAGONAL", other)
+                forced = aligner(s, left, right)
+            assert forced == dispatched
+            assert repr(forced.score) == repr(dispatched.score)
+
+    def test_only_pairs_below_the_threshold_run_the_row_loop(self, demo_matrix, monkeypatch):
+        rows, sizes = align._rows, []
+
+        def spy(s, li, ri, local):
+            sizes.append((len(li), len(ri)))
+            return rows(s, li, ri, local)
+
+        monkeypatch.setattr(align, "_rows", spy)
+        s = ScoringScheme(matrix=demo_matrix)
+        # 2,000 x 20 has the cells of 200 x 200, but diagonals of only 20
+        for n, m in [(201, 199), (200, 200), (300, 300), (2000, 20)]:
+            left, right = tie_prone_pair(demo_matrix, n, m, seed=n)
+            pd.global_align(s, left, right)
+            pd.local_align(s, left, right)
+        assert sizes == [(201, 199), (201, 199), (2000, 20), (2000, 20)]
+
+
 class TestMonotonicity:
     def test_lowering_a_distance_never_lowers_scores(self, fixture_matrix):
         rng = random.Random(37)
@@ -360,6 +418,13 @@ class TestBatchedCognancyIsExact:
             monkeypatch.setattr(align, "_PAIR_CHUNK", chunk)
         s = ScoringScheme(matrix=demo_matrix, gap_mode=gap_mode)
         words = list_words([g for g in demo_matrix.segments if g != "∅"], seed=0)
+        assert cognancy_score_reprs(s, words, mode) == pairwise_score_reprs(s, words, mode)
+
+    @pytest.mark.parametrize("gap_mode", ["constant", "null_column"])
+    @pytest.mark.parametrize("mode", ["global", "local"])
+    def test_every_score_repr_matches_per_kernel(self, demo_matrix, mode, gap_mode, kernel):
+        s = ScoringScheme(matrix=demo_matrix, gap_mode=gap_mode)
+        words = list_words([g for g in demo_matrix.segments if g != "∅"], seed=1)
         assert cognancy_score_reprs(s, words, mode) == pairwise_score_reprs(s, words, mode)
 
     @pytest.mark.parametrize("mode", ["global", "local"])

@@ -4,6 +4,8 @@ The enumeration oracles in test_align.py and test_acceptance.py check scores
 only. These tests require the whole Alignment to be equal, columns and exact
 score, so they also pin the tie-breaks: diagonal before up before left, the
 floor winning ties in local mode, and the first best cell in row-major order.
+Each case runs once as the aligners dispatch it by size, and once per DP fill
+(row by row, anti-diagonal) with every pair sent through that fill.
 """
 
 import random
@@ -92,3 +94,25 @@ def test_overflowing_scores_match_reference(demo_matrix):
     scheme = pd.ScoringScheme(matrix=demo_matrix, gap_constant=-1e308)
     for left, right in [("aaa", "a"), ("a", "pakis"), ("pakis", "ak")]:
         assert_same(scheme, left, right)
+
+
+@pytest.mark.parametrize("matrix_kind", ["demo", "ties"])
+def test_short_pairs_match_reference_per_kernel(matrix_kind, demo_matrix, kernel):
+    test_short_pairs_match_reference(matrix_kind, demo_matrix)
+
+
+def test_empty_words_match_reference_per_kernel(demo_matrix, kernel):
+    test_empty_words_match_reference(demo_matrix)
+
+
+def test_string_words_match_reference_per_kernel(demo_matrix, kernel):
+    test_string_words_match_reference(demo_matrix)
+
+
+@pytest.mark.parametrize("gap_mode", GAP_MODES)
+def test_long_pair_matches_reference_per_kernel(gap_mode, demo_matrix, kernel):
+    test_long_pair_matches_reference(gap_mode, demo_matrix)
+
+
+def test_overflowing_scores_match_reference_per_kernel(demo_matrix, kernel):
+    test_overflowing_scores_match_reference(demo_matrix)

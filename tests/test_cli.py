@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from phondist import bundled_path
+from phondist import align, bundled_path, cli
 from phondist.cli import main
 
 DATA = {
@@ -266,6 +266,16 @@ class TestCognates:
         assert code == 2
         err = capsys.readouterr().err
         assert err == "phondist cognates: error: threshold must not be NaN\n"
+
+    def test_nan_threshold_refused_before_aligning(self, demo_matrix_file, capsys, monkeypatch):
+        def no_alignment(*args):
+            raise AssertionError("cognancy_matrix ran before the threshold was checked")
+        monkeypatch.setattr(align, "cognancy_matrix", no_alignment)
+        monkeypatch.setattr(cli, "cognancy_matrix", no_alignment)  # the name cmd_cognates calls
+        code = run("cognates", "--matrix", str(demo_matrix_file),
+                   "--words", DATA["test1"], "--threshold", "nan")
+        assert code == 2
+        assert capsys.readouterr().err == "phondist cognates: error: threshold must not be NaN\n"
 
     def test_single_word_list_exit_2(self, demo_matrix_file, tmp_path, capsys):
         words = tmp_path / "one.txt"

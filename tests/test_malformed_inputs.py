@@ -197,6 +197,16 @@ def test_deeply_nested_json_exits_2(command, role, files):
     assert code == 2 and "JSON" in err, err
 
 
+@pytest.mark.parametrize("command,role", [("fit", "bundles"), ("matrix", "model")])
+def test_overlong_json_integer_exits_2(command, role, files):
+    # json.load cannot convert an integer past Python's int-string limit (4,300 digits)
+    doc = json.loads(Path(files[0][role]).read_text(encoding="utf-8"))
+    doc["intercept" if role == "model" else "stop_affricate"] = "@"
+    data = json.dumps(doc, ensure_ascii=False).replace('"@"', "9" * 5000).encode("utf-8")
+    code, err = _check(command, role, data, files)
+    assert code == 2 and "JSON" in err and "5000 digits" in err, err
+
+
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0, 5e-324]
 any_float = st.sampled_from(EDGE_FLOATS) | st.floats()
 any_int = st.sampled_from([0, -1, 10**308, -(10**308)]) | st.integers()

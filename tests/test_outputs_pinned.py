@@ -1,17 +1,20 @@
 """The bundled pipeline's outputs hash to the digests the benchmark records.
 
-`perfbench/digests.json` pins the matrix TSV, the cognates tables and the
-README alignment byte for byte; these tests read it (never write it) and
-rebuild the same outputs in-process, so a change to any of them shows in
-tier-1 as well as in a benchmark run.
+`perfbench/digests.json` pins the matrix TSV, the cognates tables, the
+README alignment and the 1,000 x 1,000 long-pair alignments byte for byte;
+these tests read it (never write it) and rebuild the same outputs
+in-process, so a change to any of them shows in tier-1 as well as in a
+benchmark run.
 """
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
+import phondist as pd
 from phondist import bundled_path
 from phondist.cli import main
 from phondist.matrix import export_matrix_tsv
@@ -47,3 +50,19 @@ def test_cognates_stdout(name, matrix_file, capsys):
 def test_align_stdout(matrix_file, capsys):
     assert main(["align", "--matrix", matrix_file, "woldemort", "waldemar"]) == 0
     assert sha256(capsys.readouterr().out) == DIGESTS["cli-pipeline"]["align.txt"]
+
+
+def test_long_pair_digests(demo_matrix):
+    # The benchmark's own input generator, loaded from its file (perfbench is not a package).
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    left, right = inputs.long_pair(DIGESTS["reference_seed"], inputs.feature_graphemes(bundled_path("features.tsv")))
+    runs = {
+        "global": pd.global_align(pd.ScoringScheme(matrix=demo_matrix), left, right),
+        "local": pd.local_align(pd.ScoringScheme(matrix=demo_matrix, gap_mode="null_column"), left, right),
+    }
+    for mode, alignment in runs.items():  # hashed as perfbench/worker.py LongPair.digests hashes them
+        text = json.dumps({"score": repr(alignment.score), "columns": alignment.columns}, ensure_ascii=False)
+        assert sha256(text) == DIGESTS["long-pair"][mode], mode
