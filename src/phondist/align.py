@@ -25,17 +25,24 @@ and never the alignment.
 
 All-pairs cognancy needs scores only, so `cognancy_matrix` runs the same
 recurrence without a traceback, batched across word pairs (the
-inter-sequence layout of SWIPE, Rognes 2011): each DP cell is one numpy
-operation over a chunk of up to _PAIR_CHUNK pairs, taken in row-major order.
-Its working memory is set by the chunk and the longest word, not by the
+inter-sequence layout of SWIPE, Rognes 2011): each DP cell is a few numpy
+operations, into buffers allocated once per chunk, over a chunk of up to
+_PAIR_CHUNK pairs. Pairs are taken in length order, grouped by the lengths of
+their left and right words, so a chunk's table is sized by its own longest
+words, not the list's; the left word is always the earlier one, since
+swapping the words changes the float additions. Besides the n×n score array,
+the working memory is set by the chunk and the longest word, not by the
 length of the list. It makes the same choices in the same tie order with the
-same float additions, so every score equals the per-pair aligner's bit for bit.
+same float additions, so every score equals the per-pair aligner's bit for
+bit. The TSV writer formats and writes one row of that array at a time.
 """
 
+import io
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, islice
-from typing import Sequence
+from itertools import accumulate, combinations
+from pathlib import Path
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -54,10 +61,11 @@ Column = tuple[str | None, str | None]  # (left token, right token), None = gap
 # cell was floored) and marks the origin of a global one.
 _STOP, _DIAG, _UP, _LEFT = 0, 1, 2, 3
 
-# Word pairs scored together by cognancy_matrix, set by peak memory: its working
-# arrays hold a few (longest word + 1) x _PAIR_CHUNK floats, about 0.7 MB for
-# words of up to 8 segments. Larger chunks save little time and add to the peak.
-_PAIR_CHUNK = 1024
+# Word pairs scored together by cognancy_matrix, set by time and peak memory: its
+# working arrays hold a few (longest word + 1) x _PAIR_CHUNK numbers, about 1.4 MB
+# for words of up to 8 segments. On 150 words of 4-8 segments 2048 ran ~12% faster
+# than 1024 (fewer numpy calls per pair); 4096 was no faster and adds to the peak.
+_PAIR_CHUNK = 2048
 
 # _align fills a table by anti-diagonals when they average at least this many
 # cells, n·m / (n + m): each diagonal costs a dozen numpy calls whatever its
@@ -115,8 +123,20 @@ class Alignment:
 
 @dataclass(frozen=True)
 class CognancyMatrix:
+    """All-pairs scores of a word list: a read-only (n, n) float64 array, NaN on
+    the diagonal. A list of lists is converted, None becoming NaN; an array is
+    taken without a copy."""
+
     words: tuple[str, ...]
-    scores: list[list[float | None]]  # scores[i][j], None on the diagonal
+    scores: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "words", tuple(self.words))
+        scores = np.asarray(self.scores, dtype=np.float64).view()  # only the view turns read-only
+        if scores.shape != (n := len(self.words),) * 2:
+            raise InputError(f"cognancy scores have shape {scores.shape}, expected ({n}, {n}) for {n} words")
+        scores.flags.writeable = False
+        object.__setattr__(self, "scores", scores)
 
 
 def similarity(s: ScoringScheme, a: str, b: str) -> float:
@@ -295,11 +315,11 @@ def cognancy_matrix(
     words: Sequence[str],
     mode: str = "global",
 ) -> CognancyMatrix:
-    """All-pairs alignment scores (diagonal left undefined); each word is tokenized once.
+    """All-pairs alignment scores (NaN on the diagonal); each word is tokenized once.
 
     A replaced module aligner (a profiler's wrapper, a test double) is called
-    once per pair instead of the batched kernel, so whatever wraps
-    `global_align` or `local_align` sees every pair.
+    once per pair, in row-major order, instead of the batched kernel, so
+    whatever wraps `global_align` or `local_align` sees every pair.
     """
     if len(words) < 2:
         raise InputError(f"need at least 2 words, got {len(words)}")
@@ -307,28 +327,49 @@ def cognancy_matrix(
         raise InputError(f"unknown alignment mode {mode!r}")
     tokens = [_indices(s, w) for w in words]
     n = len(words)
-    scores: list[list[float | None]] = [[None] * n for _ in range(n)]
-    pairs = combinations(range(n), 2)  # row-major i < j, never all held at once
+    scores = np.empty((n, n))
+    np.fill_diagonal(scores, np.nan)
     aligner = global_align if mode == "global" else local_align
     if aligner is not _ALIGNERS[mode]:
         seg = s.matrix.segments
         segments = [[seg[k] for k in t] for t in tokens]
-        for i, j in pairs:
-            scores[i][j] = scores[j][i] = aligner(s, segments[i], segments[j]).score
-        return CognancyMatrix(tuple(words), scores)
+        for i, j in combinations(range(n), 2):
+            scores[i, j] = scores[j, i] = aligner(s, segments[i], segments[j]).score
+        return CognancyMatrix(words, scores)
     lengths = np.array([len(t) for t in tokens])
     padded = np.zeros((n, lengths.max()), dtype=np.intp)  # index 0 pads: any finite entry will do
     for k, t in enumerate(tokens):
         padded[k, : len(t)] = t
-    sim, gaps = s._sim_array, s._gap_array
     # Python floats overflow to inf without a warning; so must the batch.
     with np.errstate(all="ignore"):
-        while len(chunk := np.fromiter(chain.from_iterable(islice(pairs, _PAIR_CHUNK)), np.intp)):
-            left, right = chunk.reshape(-1, 2).T
-            values = _batch_scores(sim, gaps, padded, lengths, left, right, mode == "local")
-            for i, j, value in zip(left.tolist(), right.tolist(), values.tolist()):
-                scores[i][j] = scores[j][i] = value
-    return CognancyMatrix(tuple(words), scores)
+        for left, right in _pair_chunks(lengths, _PAIR_CHUNK):
+            values = _batch_scores(s._sim_array, s._gap_array, padded, lengths, left, right, mode == "local")
+            scores[left, right] = scores[right, left] = values
+    return CognancyMatrix(words, scores)
+
+
+def _pair_chunks(lengths: np.ndarray, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every pair i < j of a word list with these lengths, once, as (left, right)
+    index arrays of at most `size` pairs; left holds i, the lower index.
+
+    Pairs come grouped by (lengths[i], lengths[j]) in ascending order, so the
+    words of a chunk have nearly equal lengths; a chunk may span groups. A group
+    is enumerated a block of left words at a time, never whole, so at most
+    2·size + len(lengths) indices are held at once.
+    """
+    groups = [np.flatnonzero(lengths == k) for k in np.unique(lengths)]  # ascending indices
+    left = right = np.empty(0, dtype=np.intp)
+    for ia in groups:
+        for ib in groups:
+            step = max(1, size // len(ib))
+            for r in range(0, len(ia), step):
+                rows, cols = np.nonzero(ia[r:r + step, None] < ib)
+                left, right = np.concatenate((left, ia[r + rows])), np.concatenate((right, ib[cols]))
+                while len(left) >= size:
+                    yield left[:size], right[:size]
+                    left, right = left[size:], right[size:]
+    if len(left):
+        yield left, right
 
 
 def _batch_scores(sim, gaps, padded, lengths, left, right, local: bool) -> np.ndarray:
@@ -337,61 +378,85 @@ def _batch_scores(sim, gaps, padded, lengths, left, right, local: bool) -> np.nd
     Arrays are laid out (DP column, pair). A pair's words are padded past
     their lengths; no cell it reads lies in the padding, since cell (i, j)
     reads only cells above and to its left. Moves are chosen with strict `>`
-    in _align's order, so NaN and signed zeros fall as they do there.
+    in _align's order, so NaN and signed zeros fall as they do there. Each
+    DP cell is computed into buffers allocated once per chunk.
     """
     nl, ml = lengths[left], lengths[right]
-    n, m = nl.max(), ml.max()
-    ri = padded[right, :m].T
-    gr = gaps[ri]
-    pairs = np.arange(len(left))
-    prev = np.zeros((m + 1, len(left)))
+    n, m, p = nl.max(), ml.max(), len(left)
+    pairs = np.arange(p)
+    lw, rw = (np.ascontiguousarray(padded[words, :k].T) for words, k in ((left, n), (right, m)))
+    lrow = lw * sim.shape[1]  # row offsets into the flat similarity table
+    gl, gr = gaps[lw], gaps[rw]
+    flat = sim.ravel()
+    prev, row = np.zeros((2, m + 1, p))
+    at, up, pick = np.empty((m, p), dtype=np.intp), np.empty((m, p)), np.empty((m, p), dtype=bool)
+    lft, better = np.empty(p), np.empty(p, dtype=bool)
     if local:
-        inside = np.arange(m + 1)[:, None] <= ml  # cells j <= m_k
-        score = np.zeros(len(left))
+        outside = np.arange(m + 1)[:, None] > ml if (ml < m).any() else None  # cells j > m_k
+        score, top = np.zeros(p), np.empty(p)
     else:
         for j in range(m):  # left-to-right additions, as accumulate() makes them
-            prev[j + 1] = prev[j] + gr[j]
+            np.add(prev[j], gr[j], out=prev[j + 1])
         score = prev[ml, pairs]  # read now for pairs with an empty left word
-    row = np.empty_like(prev)
     for i in range(n):
-        li = padded[left, i]
-        g = gaps[li]
-        cand = prev[:-1] + sim[li, ri]  # the diagonal move, then up where it is better
-        up = prev[1:] + g
-        np.copyto(cand, up, where=up > cand)
-        row[0] = 0.0 if local else prev[0] + g
+        cand = row[1:]
+        np.add(rw, lrow[i], out=at)
+        flat.take(at, out=cand, mode="clip")  # indices are in range; "clip" skips a buffered copy
+        np.add(prev[:-1], cand, out=cand)  # the diagonal move, then up where it is better
+        np.add(prev[1:], gl[i], out=up)
+        np.greater(up, cand, out=pick)
+        np.copyto(cand, up, where=pick)
+        if not local:  # a local row starts at 0.0, and both buffers do
+            np.add(prev[0], gl[i], out=row[0])
         for j in range(m):  # the left-gap chain runs along the row
-            lft = row[j] + gr[j]
-            best = np.where(lft > cand[j], lft, cand[j])
-            row[j + 1] = np.where(best > 0.0, best, 0.0) if local else best
+            np.add(row[j], gr[j], out=lft)
+            np.greater(lft, row[j + 1], out=better)
+            np.copyto(row[j + 1], lft, where=better)
+            if local:
+                np.logical_not(np.greater(row[j + 1], 0.0, out=better), out=better)
+                np.copyto(row[j + 1], 0.0, where=better)
         if local:  # floored cells are never NaN or -0.0, so maximum is exact here
-            top = np.where(inside, row, 0.0).max(axis=0)
-            score = np.where(i < nl, np.maximum(score, top), score)
+            if outside is not None:
+                np.copyto(row, 0.0, where=outside)  # later rows never read past m_k
+            row.max(axis=0, out=top)
+            np.maximum(score, top, out=score, where=i < nl)
         else:
-            score = np.where(nl == i + 1, row[ml, pairs], score)
+            np.copyto(score, row[ml, pairs], where=nl == i + 1)
         prev, row = row, prev
     return score
 
 
-def format_cognancy_tsv(cm: CognancyMatrix, threshold: float | None = None, header: str = "") -> str:
-    """Render the score matrix as TSV: "-" diagonal, signed 2-decimal entries.
+def write_cognancy_tsv(cm: CognancyMatrix, sink: str | Path | TextIO, threshold: float | None = None,
+                       header: str = "") -> None:
+    """Write the score matrix as TSV, one row at a time: "-" diagonal, signed
+    2-decimal entries.
 
     With a threshold (not NaN), entries at or above it get a "*" suffix.
     """
     _check_threshold(threshold)
-    def rows():  # one row at a time: an n-word table has n² cells
-        yield ["word", *cm.words]
-        for word, scores in zip(cm.words, cm.scores):
-            cells = [word]
-            for value in scores:
-                if value is None:
-                    cells.append("-")
-                else:
-                    mark = "*" if threshold is not None and value >= threshold else ""
-                    cells.append(f"{value:+.2f}{mark}")
-            yield cells
 
-    return textio.format_table(header, rows())
+    def rows():  # one % operation per row formats the scores twice as fast as one per cell
+        yield ["word", *cm.words]
+        for i, (word, scores) in enumerate(zip(cm.words, cm.scores)):
+            cells = ["%+.2f"] * len(cm.words)
+            if threshold is not None:
+                with np.errstate(invalid="ignore"):  # the NaN diagonal is never marked
+                    marked = np.flatnonzero(scores >= threshold).tolist()
+                for j in marked:
+                    cells[j] = "%+.2f*"
+            cells[i] = "-"
+            values = scores.tolist()
+            del values[i]
+            yield [word, "\t".join(cells) % tuple(values)]
+
+    textio.write_table(sink, header, rows())
+
+
+def format_cognancy_tsv(cm: CognancyMatrix, threshold: float | None = None, header: str = "") -> str:
+    """The TSV that write_cognancy_tsv writes, as a string."""
+    buffer = io.StringIO()
+    write_cognancy_tsv(cm, buffer, threshold, header)
+    return buffer.getvalue()
 
 
 def _check_threshold(threshold: float | None) -> None:

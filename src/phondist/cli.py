@@ -26,11 +26,11 @@ from .align import (
     _check_threshold,
     cognancy_matrix,
     format_alignment,
-    format_cognancy_tsv,
     global_align,
     local_align,
+    write_cognancy_tsv,
 )
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, TokenizeError
 from .features import load_feature_table
 from .matrix import (
     build_matrix,
@@ -218,13 +218,17 @@ def cmd_cognates(args) -> int:
     scheme = _scheme(args)
     _check_threshold(args.threshold)  # before the all-pairs run, not after it
     with _naming(args.words):
-        words = [text.strip() for _, text in textio.read_lines(args.words)]
-        cm = cognancy_matrix(scheme, words, args.mode)
+        lines = textio.read_lines(args.words)
+        try:
+            cm = cognancy_matrix(scheme, [text.strip() for _, text in lines], args.mode)
+        except TokenizeError as exc:  # the only error a word raises; name its line
+            lineno = next(n for n, text in lines if textio.nfc(text) == exc.word)
+            raise InputError(f"row {lineno}: {exc}") from None
     header = _params_header(
         mode=args.mode, sigma=args.sigma, center=args.center,
         gap="null_column" if args.null_gaps else args.gap,
     )
-    sys.stdout.write(format_cognancy_tsv(cm, threshold=args.threshold, header=header))
+    write_cognancy_tsv(cm, sys.stdout, threshold=args.threshold, header=header)
     return 0
 
 

@@ -161,7 +161,7 @@ def export_matrix_tsv(dm: DistanceMatrix, sink: str | Path | TextIO, header: str
     """Write a full square TSV with 6-decimal entries."""
     rows = [["segment", *dm.segments]]
     rows += [[g, *(f"{v:.6f}" for v in row)] for g, row in zip(dm.segments, dm.values)]
-    textio.write_text(sink, textio.format_table(header, rows))
+    textio.write_table(sink, header, rows)
 
 
 def export_pca_tsv(result: PcaResult, sink: str | Path | TextIO, header: str = "") -> None:
@@ -169,7 +169,7 @@ def export_pca_tsv(result: PcaResult, sink: str | Path | TextIO, header: str = "
     k = result.coordinates.shape[1]
     rows = [["segment", *(f"pc{i + 1}" for i in range(k))]]
     rows += [[g, *(f"{c:.6f}" for c in coords)] for g, coords in zip(result.segments, result.coordinates)]
-    textio.write_text(sink, textio.format_table(header, rows))
+    textio.write_table(sink, header, rows)
 
 
 def export_pca_svg(result: PcaResult, sink: str | Path | TextIO, header: str = "") -> None:

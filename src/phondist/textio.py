@@ -80,11 +80,14 @@ def read_table(source: str | Path | TextIO, ragged: bool = False) -> tuple[list[
     return header[1:], [(lineno, cells[0], cells[1:]) for lineno, cells in rows]
 
 
-def format_table(comment: str, rows: Iterable[Iterable[str]]) -> str:
-    """Tab-separated rows, one per line, under a "# comment" line if comment is not empty."""
-    lines = [f"# {comment}"] if comment else []
-    lines.extend("\t".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def write_table(sink: str | Path | TextIO, comment: str, rows: Iterable[Iterable[str]]) -> None:
+    """Tab-separated rows, one per line, each written as it comes, under a "# comment"
+    line if comment is not empty."""
+    with _opened(sink, "w") as handle:
+        if comment:
+            handle.write(f"# {comment}\n")
+        for row in rows:
+            handle.write("\t".join(row) + "\n")
 
 
 def read_csv(source: str | Path | TextIO, width: int) -> list[tuple[int, list[str]]]:

@@ -1,26 +1,31 @@
 import itertools
 import math
+import os
 import random
 import re
+import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import phondist as pd
 from phondist import align
 from phondist.align import (
+    CognancyMatrix,
     ScoringScheme,
     format_alignment,
     format_cognancy_tsv,
     gap_score,
     similarity,
 )
+from phondist.cli import main
 from phondist.errors import InputError, UnknownSegmentError
-from phondist.matrix import DistanceMatrix
+from phondist.matrix import DistanceMatrix, export_matrix_tsv
 
 from oracles import enumerate_global_score, enumerate_local_score, tokens_for
 
@@ -338,7 +343,7 @@ class TestCognancyMatrix:
         ]
         assert len(computed) == 6
         for i in range(n):
-            assert cm.scores[i][i] is None
+            assert math.isnan(cm.scores[i, i])
             for j in range(n):
                 if i != j:
                     assert cm.scores[i][j] == cm.scores[j][i]
@@ -363,6 +368,40 @@ class TestCognancyMatrix:
             for j in range(3)
             if i != j
         )
+
+    def test_scores_are_a_read_only_square_array(self, scheme):
+        cm = pd.cognancy_matrix(scheme, ["aki", "ak", "ki"], "global")
+        assert cm.scores.shape == (3, 3) and cm.scores.dtype == np.float64
+        with pytest.raises(ValueError):
+            cm.scores[0, 1] = 0.0
+
+    def test_a_score_table_of_the_wrong_shape_is_refused(self):
+        with pytest.raises(InputError, match=r"shape \(2, 2\), expected \(3, 3\) for 3 words"):
+            CognancyMatrix(("a", "b", "c"), [[None, 1.0], [1.0, None]])
+        with pytest.raises(InputError, match=r"shape \(2, 3\)"):
+            CognancyMatrix(("a", "b"), np.zeros((2, 3)))
+
+    def test_memory_is_the_score_array_and_a_row_of_output(self, demo_matrix, tmp_path, monkeypatch):
+        """`phondist cognates` on 600 words holds the (n, n) float64 scores, the
+        kernel's chunk buffers and one row of text: under 8·n² bytes + 4 MiB."""
+        n = 600
+        rng = random.Random(0)
+        segments = [g for g in demo_matrix.segments if g != "∅"]
+        words = tmp_path / "words.txt"
+        words.write_text("\n".join("".join(rng.choices(segments, k=rng.randint(4, 8))) for _ in range(n)) + "\n",
+                         encoding="utf-8")
+        matrix = tmp_path / "matrix.tsv"
+        export_matrix_tsv(demo_matrix, matrix)
+        with open(os.devnull, "w", encoding="utf-8") as sink, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = main(["cognates", "--matrix", str(matrix), "--words", str(words), "--threshold", "0"])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 8 * n * n + 4 * 2**20
 
     def test_test1_words_on_demo_matrix(self, demo_matrix):
         s = ScoringScheme(matrix=demo_matrix)
@@ -392,11 +431,14 @@ def pairwise_score_reprs(s, words, mode):
 
 
 def cognancy_score_reprs(s, words, mode):
+    """repr of every score of cognancy_matrix, None on its NaN diagonal."""
     cm = pd.cognancy_matrix(s, words, mode)
-    for i, row in enumerate(cm.scores):
-        for j, value in enumerate(row):
-            assert value is cm.scores[j][i]  # one float per pair, as the per-pair loop stored it
-    return [[None if v is None else repr(v) for v in row] for row in cm.scores]
+    n = len(words)
+    for i in range(n):
+        assert math.isnan(cm.scores[i, i])
+        for j in range(n):
+            assert cm.scores[i, j].tobytes() == cm.scores[j, i].tobytes()  # one float per pair, mirrored
+    return [[None if i == j else repr(v) for j, v in enumerate(row)] for i, row in enumerate(cm.scores.tolist())]
 
 
 def list_words(graphemes, seed):
@@ -444,11 +486,11 @@ class TestBatchedCognancyIsExact:
         calls = []
         aligner = align._ALIGNERS[mode]
         monkeypatch.setattr(align, f"{mode}_align", lambda *a: calls.append(a) or aligner(*a))
-        assert pd.cognancy_matrix(scheme, TEST1_WORDS, mode).scores == batched
+        assert pd.cognancy_matrix(scheme, TEST1_WORDS, mode).scores.tobytes() == batched.tobytes()
         assert len(calls) == 6  # the replacement, once per pair
         monkeypatch.undo()
         monkeypatch.setattr(align, "_align", None)  # the batched path runs no per-pair DP
-        assert pd.cognancy_matrix(scheme, TEST1_WORDS, mode).scores == batched
+        assert pd.cognancy_matrix(scheme, TEST1_WORDS, mode).scores.tobytes() == batched.tobytes()
 
     @pytest.mark.parametrize("bad", ["a#k", ["a", "q"]])
     def test_unknown_segment_raises_as_the_aligner_does(self, scheme, bad):
@@ -473,6 +515,41 @@ class TestBatchedCognancyIsExact:
         words = ["".join(w) for w in words]
         with mock.patch.object(align, "_PAIR_CHUNK", chunk):  # per example, not per test call
             assert cognancy_score_reprs(s, words, mode) == pairwise_score_reprs(s, words, mode)
+
+
+class TestPairChunks:
+    """The batched kernel's enumeration: every pair once, in length order, in bounded chunks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lengths=st.one_of(
+            st.lists(st.integers(0, 12), min_size=2, max_size=40),
+            st.tuples(st.integers(2, 40), st.integers(0, 12)).map(lambda nk: [nk[1]] * nk[0]),  # all equal
+        ),
+        size=st.integers(1, 64),
+    )
+    @example(lengths=[5, 5], size=1)
+    @example(lengths=[3, 0], size=64)
+    @example(lengths=list(range(13)), size=4)
+    def test_every_pair_once_in_length_order(self, lengths, size):
+        lengths = np.array(lengths)
+        chunks = list(align._pair_chunks(lengths, size))
+        assert all(len(left) == len(right) == size for left, right in chunks[:-1])
+        assert 0 < len(chunks[-1][0]) == len(chunks[-1][1]) <= size
+        pairs = [(i, j) for left, right in chunks for i, j in zip(left.tolist(), right.tolist())]
+        assert sorted(pairs) == list(itertools.combinations(range(len(lengths)), 2))  # left is the lower index
+        keys = [(lengths[i], lengths[j]) for i, j in pairs]
+        assert keys == sorted(keys)
+
+    def test_no_chunk_exceeds_the_pair_chunk(self, demo_matrix, monkeypatch):
+        seen = []
+        batch = align._batch_scores
+        monkeypatch.setattr(align, "_PAIR_CHUNK", 7)
+        monkeypatch.setattr(align, "_batch_scores", lambda *a: seen.append(len(a[4])) or batch(*a))
+        words = list_words([g for g in demo_matrix.segments if g != "∅"], seed=2)
+        pd.cognancy_matrix(ScoringScheme(matrix=demo_matrix), words, "global")
+        n = len(words)
+        assert max(seen) == 7 and sum(seen) == n * (n - 1) // 2
 
 
 def is_marked_cognate(score: float, threshold: float) -> bool:

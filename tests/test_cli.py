@@ -277,6 +277,14 @@ class TestCognates:
         assert code == 2
         assert capsys.readouterr().err == "phondist cognates: error: threshold must not be NaN\n"
 
+    def test_untokenizable_word_names_its_line(self, demo_matrix_file, tmp_path, capsys):
+        words = tmp_path / "words.txt"
+        words.write_text("# list\nwoldemort\n\n  k#a\nwaldemar\n", encoding="utf-8")
+        assert run("cognates", "--matrix", str(demo_matrix_file), "--words", str(words)) == 2
+        assert capsys.readouterr().err == (
+            f"phondist cognates: error: {words}: row 4: cannot tokenize 'k#a': no segment matches '#a' at offset 1\n"
+        )
+
     def test_single_word_list_exit_2(self, demo_matrix_file, tmp_path, capsys):
         words = tmp_path / "one.txt"
         words.write_text("woldemort\n", encoding="utf-8")

@@ -1,10 +1,10 @@
 """The bundled pipeline's outputs hash to the digests the benchmark records.
 
 `perfbench/digests.json` pins the matrix TSV, the cognates tables, the
-README alignment and the 1,000 x 1,000 long-pair alignments byte for byte;
-these tests read it (never write it) and rebuild the same outputs
-in-process, so a change to any of them shows in tier-1 as well as in a
-benchmark run.
+README alignment, the 150-word cognancy-list tables and the 1,000 x 1,000
+long-pair alignments byte for byte; these tests read it (never write it) and
+rebuild the same outputs in-process, so a change to any of them shows in
+tier-1 as well as in a benchmark run.
 """
 
 import hashlib
@@ -16,6 +16,7 @@ import pytest
 
 import phondist as pd
 from phondist import bundled_path
+from phondist.align import format_cognancy_tsv
 from phondist.cli import main
 from phondist.matrix import export_matrix_tsv
 
@@ -52,12 +53,29 @@ def test_align_stdout(matrix_file, capsys):
     assert sha256(capsys.readouterr().out) == DIGESTS["cli-pipeline"]["align.txt"]
 
 
-def test_long_pair_digests(demo_matrix):
-    # The benchmark's own input generator, loaded from its file (perfbench is not a package).
+def perfbench_inputs():
+    """The benchmark's own input generator, loaded from its file (perfbench is not a package)."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
+    return inputs
+
+
+def test_cognancy_list_digests(demo_matrix):
+    inputs = perfbench_inputs()
+    tokens = inputs.word_list(DIGESTS["reference_seed"], inputs.feature_graphemes(bundled_path("features.tsv")))
+    words = ["".join(t) for t in tokens]
+    runs = {
+        "global.tsv": pd.cognancy_matrix(pd.ScoringScheme(matrix=demo_matrix), words, "global"),
+        "local.tsv": pd.cognancy_matrix(pd.ScoringScheme(matrix=demo_matrix, gap_mode="null_column"), words, "local"),
+    }
+    for name, cm in runs.items():  # hashed as perfbench/worker.py CognancyList.digests hashes them
+        assert sha256(format_cognancy_tsv(cm)) == DIGESTS["cognancy-list"][name], name
+
+
+def test_long_pair_digests(demo_matrix):
+    inputs = perfbench_inputs()
     left, right = inputs.long_pair(DIGESTS["reference_seed"], inputs.feature_graphemes(bundled_path("features.tsv")))
     runs = {
         "global": pd.global_align(pd.ScoringScheme(matrix=demo_matrix), left, right),

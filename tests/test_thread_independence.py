@@ -31,7 +31,7 @@ out = {"matrix": hashlib.sha256(dm.values.tobytes()).hexdigest()}
 for gap_mode in ("constant", "null_column"):
     s = pd.ScoringScheme(matrix=dm, gap_mode=gap_mode)
     for mode in ("global", "local"):
-        out[f"{gap_mode}/{mode}/cognancy"] = repr(pd.cognancy_matrix(s, words, mode).scores)
+        out[f"{gap_mode}/{mode}/cognancy"] = repr(pd.cognancy_matrix(s, words, mode).scores.tolist())
     out[f"{gap_mode}/global/300"] = repr(pd.global_align(s, long_left, long_right).score)
     out[f"{gap_mode}/local/300"] = repr(pd.local_align(s, long_left, long_right).score)
 print(json.dumps(out))
