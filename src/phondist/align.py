@@ -32,9 +32,12 @@ their left and right words, so a chunk's table is sized by its own longest
 words, not the list's; the left word is always the earlier one, since
 swapping the words changes the float additions. Besides the n×n score array,
 the working memory is set by the chunk and the longest word, not by the
-length of the list. It makes the same choices in the same tie order with the
-same float additions, so every score equals the per-pair aligner's bit for
-bit. The TSV writer formats and writes one row of that array at a time.
+length of the list. It makes the aligner's float additions in the aligner's
+order, but picks each cell with a vector max (np.maximum) where the aligner
+takes the first strictly greater move. That is exact because no cell is ever
+NaN or -0.0 (see _batch_scores), so equal candidates have equal bits and every
+score equals the per-pair aligner's bit for bit. The TSV writer formats and
+writes one row of that array at a time.
 """
 
 import io
@@ -48,7 +51,7 @@ import numpy as np
 
 from . import textio
 from .errors import InputError, UnknownSegmentError
-from .features import NULL_GRAPHEME, tokenize
+from .features import NULL_GRAPHEME, GraphemeIndex, tokenize
 from .matrix import DistanceMatrix
 
 DEFAULT_SIGMA = 10.0
@@ -63,8 +66,8 @@ _STOP, _DIAG, _UP, _LEFT = 0, 1, 2, 3
 
 # Word pairs scored together by cognancy_matrix, set by time and peak memory: its
 # working arrays hold a few (longest word + 1) x _PAIR_CHUNK numbers, about 1.4 MB
-# for words of up to 8 segments. On 150 words of 4-8 segments 2048 ran ~12% faster
-# than 1024 (fewer numpy calls per pair); 4096 was no faster and adds to the peak.
+# for words of up to 8 segments. On 150 words of 4-8 segments 1024, 2048 and 4096
+# run within 3% of each other, and 4096 adds to the peak.
 _PAIR_CHUNK = 2048
 
 # _align fills a table by anti-diagonals when they average at least this many
@@ -94,7 +97,7 @@ class ScoringScheme:
         if not math.isfinite(self.gap_constant):
             raise InputError(f"gap score must be finite, got {self.gap_constant}")
         # The kernel's tables, by matrix index: similarity rows, gap scores,
-        # and the grapheme index (the matrix's own) the tokenizer probes.
+        # and the matrix's grapheme index, with the lengths the tokenizer tries.
         sim = self.sigma * (self.center - self.matrix.values)
         gaps = ([self.gap_constant] * len(self.matrix) if self.gap_mode == "constant"
                 else sim[:, self.matrix.index(NULL_GRAPHEME)].tolist())
@@ -104,7 +107,7 @@ class ScoringScheme:
         sim.flags.writeable = gap_array.flags.writeable = False
         object.__setattr__(self, "_sim_array", sim)
         object.__setattr__(self, "_gap_array", gap_array)
-        object.__setattr__(self, "_index", self.matrix._index)
+        object.__setattr__(self, "_index", GraphemeIndex(self.matrix._index))
 
 
 @dataclass(frozen=True)
@@ -377,9 +380,24 @@ def _batch_scores(sim, gaps, padded, lengths, left, right, local: bool) -> np.nd
 
     Arrays are laid out (DP column, pair). A pair's words are padded past
     their lengths; no cell it reads lies in the padding, since cell (i, j)
-    reads only cells above and to its left. Moves are chosen with strict `>`
-    in _align's order, so NaN and signed zeros fall as they do there. Each
-    DP cell is computed into buffers allocated once per chunk.
+    reads only cells above and to its left. Each DP cell is computed into
+    buffers allocated once per chunk.
+
+    A cell is picked with `np.maximum` (Farrar 2007; Rognes 2011), not with
+    _align's strict `>` in its tie order, and in local mode the floor is
+    taken before the left-gap chain: max(max(c, 0), l) = max(c, l, 0). The
+    float additions are _align's, in its order. The picks agree bit for bit
+    because of two invariants of the tables ScoringScheme builds:
+
+    - No NaN. Matrix entries are finite and in [0, 1], center is in (0, 1],
+      and sigma and the gap constant are finite, so |sim| <= sigma and every
+      table entry is finite. Each addition has a finite addend, so a cell can
+      reach +-inf but never NaN, where `>` and `maximum` would part.
+    - No -0.0. Every cell is a +0.0 origin or floor plus table entries, and in
+      round-to-nearest x + y is -0.0 only when both are -0.0. Equal values
+      thus have equal bits, and a tie cannot change a cell.
+
+    A table that could hold NaN or -0.0 needs the masked picks back.
     """
     nl, ml = lengths[left], lengths[right]
     n, m, p = nl.max(), ml.max(), len(left)
@@ -389,8 +407,7 @@ def _batch_scores(sim, gaps, padded, lengths, left, right, local: bool) -> np.nd
     gl, gr = gaps[lw], gaps[rw]
     flat = sim.ravel()
     prev, row = np.zeros((2, m + 1, p))
-    at, up, pick = np.empty((m, p), dtype=np.intp), np.empty((m, p)), np.empty((m, p), dtype=bool)
-    lft, better = np.empty(p), np.empty(p, dtype=bool)
+    at, up, lft = np.empty((m, p), dtype=np.intp), np.empty((m, p)), np.empty(p)
     if local:
         outside = np.arange(m + 1)[:, None] > ml if (ml < m).any() else None  # cells j > m_k
         score, top = np.zeros(p), np.empty(p)
@@ -402,20 +419,17 @@ def _batch_scores(sim, gaps, padded, lengths, left, right, local: bool) -> np.nd
         cand = row[1:]
         np.add(rw, lrow[i], out=at)
         flat.take(at, out=cand, mode="clip")  # indices are in range; "clip" skips a buffered copy
-        np.add(prev[:-1], cand, out=cand)  # the diagonal move, then up where it is better
-        np.add(prev[1:], gl[i], out=up)
-        np.greater(up, cand, out=pick)
-        np.copyto(cand, up, where=pick)
-        if not local:  # a local row starts at 0.0, and both buffers do
+        np.add(prev[:-1], cand, out=cand)  # the diagonal move
+        np.add(prev[1:], gl[i], out=up)  # the up move
+        np.maximum(cand, up, out=cand)
+        if local:  # floored before the left-gap chain; row[0] stays 0.0 in both buffers
+            np.maximum(cand, 0.0, out=cand)
+        else:
             np.add(prev[0], gl[i], out=row[0])
         for j in range(m):  # the left-gap chain runs along the row
             np.add(row[j], gr[j], out=lft)
-            np.greater(lft, row[j + 1], out=better)
-            np.copyto(row[j + 1], lft, where=better)
-            if local:
-                np.logical_not(np.greater(row[j + 1], 0.0, out=better), out=better)
-                np.copyto(row[j + 1], 0.0, where=better)
-        if local:  # floored cells are never NaN or -0.0, so maximum is exact here
+            np.maximum(row[j + 1], lft, out=row[j + 1])
+        if local:
             if outside is not None:
                 np.copyto(row, 0.0, where=outside)  # later rows never read past m_k
             row.max(axis=0, out=top)

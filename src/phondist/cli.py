@@ -9,10 +9,12 @@ Subcommands compose through files so a full run is scriptable:
     phondist cognates --matrix matrix.tsv --words list.txt
     phondist pca --matrix matrix.tsv -k 2 --format svg -o scatter.svg
 
-Exit codes: 0 success, 1 internal failure only, 2 usage or input error.
+Exit codes: 0 success, 1 internal failure only, 2 usage or input error. A
+closed stdout (`phondist cognates ... | head`) ends a command quietly, with 0.
 """
 
 import argparse
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -258,7 +260,14 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         if unknown:
             raise InputError(f"unrecognized arguments: {' '.join(unknown)}")
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader of stdout has gone (`phondist cognates ... | head`)
+        # Python's `signal` docs: point stdout at devnull, so that the
+        # interpreter's flush at exit does not fail again, and exit quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (InputError, OSError) as exc:
         print(f"phondist {args.command}: error: {exc}", file=sys.stderr)
         return 2

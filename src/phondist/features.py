@@ -113,18 +113,32 @@ def fingerprint_features(names: Sequence[str]) -> str:
     return hashlib.sha256(joined).hexdigest()
 
 
+class GraphemeIndex(dict):
+    """A grapheme → index map that keeps its distinct grapheme lengths, longest
+    first, so that tokenizing a list against it sorts them once, not per word."""
+
+    def __init__(self, index: dict[str, int]):
+        super().__init__(index)
+        self.lengths = _longest_first(self)
+
+
+def _longest_first(graphemes: Collection[str]) -> list[int]:
+    # The first length that matches is the longest match.
+    return sorted({len(g) for g in graphemes}, reverse=True)
+
+
 def tokenize(word: str, graphemes: Collection[str]) -> list[str]:
     """Greedy leftmost-longest segmentation of `word` over `graphemes`.
 
-    `graphemes` is a set or mapping; it is probed as it is. Raises
-    TokenizeError (with the offending offset) when no grapheme matches at some
-    position. Deterministic for a fixed grapheme set.
+    `graphemes` is a set or mapping; it is probed as it is, and a
+    GraphemeIndex's lengths are read, not recomputed. Raises TokenizeError
+    (with the offending offset) when no grapheme matches at some position.
+    Deterministic for a fixed grapheme set.
     """
     word = textio.nfc(word)
     if not word:
         raise InputError("empty word")
-    # Longest grapheme first: the first length that matches is the longest match.
-    lengths = sorted({len(g) for g in graphemes}, reverse=True)
+    lengths = graphemes.lengths if isinstance(graphemes, GraphemeIndex) else _longest_first(graphemes)
     tokens: list[str] = []
     pos = 0
     n = len(word)

@@ -479,6 +479,47 @@ class TestBatchedCognancyIsExact:
         assert got == pairwise_score_reprs(s, words, mode)
         assert any(r in ("inf", "-inf") for row in got for r in row)
 
+    # The kernel takes np.maximum where the aligners take the first strict `>`;
+    # that is exact only while no cell is NaN or -0.0 (see _batch_scores).
+    # Signed-zero and subnormal tables make ties everywhere, and a gap of
+    # +-1.7e308 overflows cells to +-inf.
+    @pytest.mark.parametrize("params", [
+        {"gap_constant": -0.0},
+        {"gap_constant": 0.0},
+        {"sigma": 5e-324, "center": 1.0},
+        {"sigma": 5e-324, "center": 1.0, "gap_constant": -0.0},
+        {"sigma": 5e-324},  # far pairs underflow to a -0.0 similarity
+        {"sigma": 1.7e308, "gap_constant": 1.7e308},
+        {"sigma": 1.7e308, "gap_constant": -1.7e308},
+    ], ids=repr)
+    @pytest.mark.parametrize("gap_mode", ["constant", "null_column"])
+    @pytest.mark.parametrize("mode", ["global", "local"])
+    def test_signed_zeros_and_extremes_match_with_their_sign(self, demo_matrix, params, gap_mode, mode):
+        s = ScoringScheme(matrix=demo_matrix, gap_mode=gap_mode, **params)
+        words = list_words([g for g in demo_matrix.segments if g != "∅"], seed=4)
+        got = cognancy_score_reprs(s, words, mode)
+        assert got == pairwise_score_reprs(s, words, mode)  # repr tells -0.0 from 0.0
+        assert not any(r == "-0.0" or r == "nan" for row in got for r in row)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        distances=st.lists(st.one_of(st.just(-0.0), st.floats(0.0, 1.0)), min_size=3, max_size=3),
+        sigma=st.floats(0.0, math.inf, exclude_min=True, exclude_max=True),
+        center=st.floats(0.0, 1.0, exclude_min=True),
+        gap_constant=st.floats(allow_nan=False, allow_infinity=False),
+        gap_mode=st.sampled_from(["constant", "null_column"]),
+    )
+    @example(distances=[1.0, 1.0, 1.0], sigma=1.7976931348623157e308, center=1e-300,
+             gap_constant=-1.7976931348623157e308, gap_mode="null_column")
+    @example(distances=[-0.0, 1.0, 0.9], sigma=5e-324, center=0.75, gap_constant=-0.0, gap_mode="constant")
+    def test_every_accepted_scheme_has_finite_tables(self, distances, sigma, center, gap_constant, gap_mode):
+        """The no-NaN half of the kernel's exactness premise: every table entry is finite."""
+        ab, an, bn = distances
+        dm = DistanceMatrix(["a", "b", "∅"], [[0.0, ab, an], [ab, 0.0, bn], [an, bn, 0.0]])
+        s = ScoringScheme(matrix=dm, sigma=sigma, center=center, gap_mode=gap_mode, gap_constant=gap_constant)
+        assert np.isfinite(s._sim_array).all() and np.isfinite(s._gap_array).all()
+        assert (np.abs(s._sim_array) <= sigma).all()
+
     @pytest.mark.parametrize("mode", ["global", "local"])
     def test_own_aligners_are_batched_and_a_replaced_one_gets_every_pair(self, demo_matrix, mode, monkeypatch):
         scheme = ScoringScheme(matrix=demo_matrix)

@@ -1,9 +1,14 @@
 import json
+import os
+import random
+import subprocess
+import sys
 import xml.dom.minidom
 from pathlib import Path
 
 import pytest
 
+import phondist
 from phondist import align, bundled_path, cli
 from phondist.cli import main
 
@@ -290,6 +295,33 @@ class TestCognates:
         words.write_text("woldemort\n", encoding="utf-8")
         assert run("cognates", "--matrix", str(demo_matrix_file),
                    "--words", str(words)) == 2
+
+
+# The console script pip writes is `sys.exit(main())`, as is `python -m phondist`.
+ENTRY_POINTS = {
+    "module": ["-m", "phondist"],
+    "console-script": ["-c", "import sys; from phondist.cli import main; sys.exit(main())"],
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_cognates_into_a_closed_pipe_exits_0_quietly(demo_matrix_file, tmp_path, entry):
+    rng = random.Random(0)
+    segments = [g for g in cli.load_reference_matrix(demo_matrix_file).segments if g != "∅"]
+    words = tmp_path / "words.txt"
+    words.write_text("".join("".join(rng.choices(segments, k=6)) + "\n" for _ in range(300)), encoding="utf-8")
+    src = str(Path(phondist.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, *ENTRY_POINTS[entry], "cognates", "--matrix", str(demo_matrix_file), "--words", str(words)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = proc.stdout.read(100)  # `| head -c 100`: the table is far over the 64 KiB a pipe buffers
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=300) == 0, err
+    assert err == b""
+    assert head.startswith(b"# phondist ")
 
 
 class TestPca:
