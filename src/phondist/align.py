@@ -19,19 +19,19 @@ m+1 floats. At or above it, `_wavefront` fills it one anti-diagonal at a time
 (Wozniak 1997) and keeps three score diagonals of n+1 floats. The threshold is
 a mean anti-diagonal of 100 cells, n·m >= 100·(n+m): two 200-segment words and
 up. Both write the same n·m bytes of traceback moves, about 1 MB for two
-1,000-segment words, into one table that one traceback reads. Both make the
-same float additions in the same tie order, so the layout changes the speed
-and never the alignment.
+1,000-segment words, into the one table `_align` allocates and traces back.
+Both make the same float additions in the same tie order, so the layout
+changes the speed and never the alignment.
 
 All-pairs cognancy needs scores only, so `cognancy_matrix` runs the same
 recurrence without a traceback, batched across word pairs (the
 inter-sequence layout of SWIPE, Rognes 2011): each DP cell is a few numpy
 operations, into buffers allocated once per chunk, over a chunk of up to
 _PAIR_CHUNK pairs. Pairs are taken in length order, grouped by the lengths of
-their left and right words, so a chunk's table is sized by its own longest
-words, not the list's; the left word is always the earlier one, since
-swapping the words changes the float additions. Besides the n×n score array,
-the working memory is set by the chunk and the longest word, not by the
+their left and right words; a chunk's table is sized by the longest words in
+it, and a chunk may span groups. The left word is always the earlier one,
+since swapping the words changes the float additions. Besides the n×n score
+array, the working memory is set by the chunk and the longest word, not by the
 length of the list. It makes the aligner's float additions in the aligner's
 order, but picks each cell with a vector max (np.maximum) where the aligner
 takes the first strictly greater move. That is exact because no cell is ever
@@ -50,8 +50,8 @@ from typing import Iterator, Sequence, TextIO
 import numpy as np
 
 from . import textio
-from .errors import InputError, UnknownSegmentError
-from .features import NULL_GRAPHEME, GraphemeIndex, tokenize
+from .errors import InputError
+from .features import NULL_GRAPHEME, tokenize
 from .matrix import DistanceMatrix
 
 DEFAULT_SIGMA = 10.0
@@ -96,8 +96,7 @@ class ScoringScheme:
             raise InputError("null_column gap mode needs a ∅ row in the matrix")
         if not math.isfinite(self.gap_constant):
             raise InputError(f"gap score must be finite, got {self.gap_constant}")
-        # The kernel's tables, by matrix index: similarity rows, gap scores,
-        # and the matrix's grapheme index, with the lengths the tokenizer tries.
+        # The kernels' tables, by matrix index: similarity rows and gap scores.
         sim = self.sigma * (self.center - self.matrix.values)
         gaps = ([self.gap_constant] * len(self.matrix) if self.gap_mode == "constant"
                 else sim[:, self.matrix.index(NULL_GRAPHEME)].tolist())
@@ -107,7 +106,6 @@ class ScoringScheme:
         sim.flags.writeable = gap_array.flags.writeable = False
         object.__setattr__(self, "_sim_array", sim)
         object.__setattr__(self, "_gap_array", gap_array)
-        object.__setattr__(self, "_index", GraphemeIndex(self.matrix._index))
 
 
 @dataclass(frozen=True)
@@ -148,7 +146,8 @@ def similarity(s: ScoringScheme, a: str, b: str) -> float:
 
 
 def gap_score(s: ScoringScheme, x: str) -> float:
-    """Cost of aligning segment x against a gap."""
+    """Cost of aligning segment x against a gap; a segment the matrix lacks raises."""
+    s.matrix.index(x)
     if s.gap_mode == "constant":
         return s.gap_constant
     return s.sigma * (s.center - s.matrix.get(x, NULL_GRAPHEME))
@@ -175,23 +174,29 @@ def _indices(s: ScoringScheme, word: "str | Sequence[str]") -> list[int]:
     all-gap alignment).
     """
     if isinstance(word, str):
-        word = tokenize(word, s._index) if word.strip() else []
-    try:
-        return [s._index[t] for t in word]
-    except KeyError as exc:
-        raise UnknownSegmentError(exc.args[0], where="matrix") from None
+        word = tokenize(word, s.matrix._index) if word.strip() else []
+    return [s.matrix.index(t) for t in word]
 
 
 def _align(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> Alignment:
     """The dynamic program behind both aligners. A cell takes the first best of
     the diagonal, up (left token vs gap) and left (gap vs right token) moves;
     in local mode a cell not above 0 is floored at 0, where an alignment starts.
-    Small pairs fill the table row by row, large ones one anti-diagonal at a
-    time; both write the same moves and scores."""
+    It sets up the move table, with its boundary moves, and the boundary scores
+    of row 0 (`top`) and column 0 (`side`). Small pairs fill the interior row by
+    row, large ones by anti-diagonals; both write the same moves and scores."""
     n, m = len(li), len(ri)
-    fill = _wavefront if n * m >= _WAVEFRONT_DIAGONAL * (n + m) else _rows
-    moves, score, (i, j) = fill(s, li, ri, local)
     width = m + 1
+    moves = bytearray(width * (n + 1))  # _STOP everywhere
+    if local:
+        top, side = [0.0] * width, [0.0] * (n + 1)
+    else:  # the gaps added up left to right, as the fills add them
+        top = list(accumulate((s._gaps[k] for k in ri), initial=0.0))
+        side = list(accumulate((s._gaps[k] for k in li), initial=0.0))
+        moves[1:width] = [_LEFT] * m
+        moves[width::width] = [_UP] * n
+    fill = _wavefront if n * m >= _WAVEFRONT_DIAGONAL * (n + m) else _rows
+    score, (i, j) = fill(s, li, ri, local, moves, top, side)
     seg = s.matrix.segments
     columns: list[Column] = []
     while (which := moves[i * width + j]) != _STOP:
@@ -209,20 +214,18 @@ def _align(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> Align
     return Alignment(tuple(columns), score)
 
 
-def _rows(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> tuple[bytes, float, tuple[int, int]]:
-    """_align's move table (cell (i, j) at i·(m+1)+j), score and end cell, one row at a time."""
-    n, m = len(li), len(ri)
-    gl = [s._gaps[k] for k in li]
+def _rows(s: ScoringScheme, li: list[int], ri: list[int], local: bool,
+          moves: bytearray, top: list[float], side: list[float]) -> tuple[float, tuple[int, int]]:
+    """Fills _align's interior cells one row at a time; returns the score and end cell."""
+    width = len(top)
     gr = [s._gaps[k] for k in ri]
-    prev = [0.0] * (m + 1) if local else list(accumulate(gr, initial=0.0))
-    moves = [bytes([_STOP] + [_STOP if local else _LEFT] * m)]
+    prev = top
     best_score, best_cell = 0.0, (0, 0)
-    for i in range(n):
-        srow = s._sim[li[i]]
-        g = gl[i]
-        lft = 0.0 if local else prev[0] + g
+    for i, k in enumerate(li):
+        srow, g = s._sim[k], s._gaps[k]
+        lft = side[i + 1]
         row = [lft]
-        move = [_STOP if local else _UP]
+        move = []
         for d0, u0, r, gj in zip(prev, prev[1:], ri, gr):
             diag = d0 + srow[r]
             up = u0 + g
@@ -237,17 +240,18 @@ def _rows(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> tuple[
             lft = best
             row.append(best)
             move.append(which)
-        moves.append(bytes(move))
+        moves[(i + 1) * width + 1:(i + 2) * width] = move
         prev = row
-        if local and (top := max(row)) > best_score:
-            best_score, best_cell = top, (i + 1, row.index(top))
+        if local and (peak := max(row)) > best_score:
+            best_score, best_cell = peak, (i + 1, row.index(peak))
     if local:
-        return b"".join(moves), best_score, best_cell
-    return b"".join(moves), prev[m], (n, m)
+        return best_score, best_cell
+    return prev[-1], (len(li), len(ri))
 
 
-def _wavefront(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> tuple[bytearray, float, tuple[int, int]]:
-    """_rows' result, computed one anti-diagonal d = i + j at a time (Wozniak 1997).
+def _wavefront(s: ScoringScheme, li: list[int], ri: list[int], local: bool,
+               moves: bytearray, top: list[float], side: list[float]) -> tuple[float, tuple[int, int]]:
+    """_rows' fill, one anti-diagonal d = i + j at a time (Wozniak 1997).
 
     Diagonal buffers are indexed by i, so cell (i, d-i) reads cell i-1 of the
     two previous diagonals (diagonal and up moves) and cell i of the last one
@@ -256,29 +260,22 @@ def _wavefront(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> t
     up on a strictly greater score, then left on a strictly greater score.
     """
     n, m = len(li), len(ri)
-    width = m + 1
     lidx = np.array(li, dtype=np.intp)
     rrev = np.array(ri[::-1], dtype=np.intp)  # cell (i, d-i) reads ri[d-i-1] = rrev[m-d+i]
     gl, grrev = s._gap_array[lidx], s._gap_array[rrev]
     lrow = lidx * len(s._gaps)  # row offsets into the flat similarity table
     sim = s._sim_array.ravel()
-    moves = bytearray(width * (n + 1))  # _STOP everywhere
     table = np.frombuffer(moves, dtype=np.uint8)
-    if not local:  # the boundary row and column, added up as _rows adds them
-        top = list(accumulate((s._gaps[k] for k in ri), initial=0.0))
-        side = list(accumulate((s._gaps[k] for k in li), initial=0.0))
-        table[1:width] = _LEFT
-        table[width::width] = _UP
     # Diagonals d-2, d-1 and d. Cells 0 and d of diagonal d are the boundary
-    # row and column; nothing else writes them, so in local mode they stay 0.0.
+    # row and column, copied from top and side.
     older, last, cur = np.zeros((3, n + 1))
     at, cand, pick = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n, dtype=bool)
     best_score, best_cell = 0.0, (0, 0)
     with np.errstate(all="ignore"):  # Python floats overflow to inf without a warning
         for d in range(n + m + 1):
-            if not local and d <= m:
+            if d <= m:
                 cur[0] = top[d]
-            if not local and d <= n:
+            if d <= n:
                 cur[d] = side[d]
             lo, hi = max(1, d - m), min(n, d - 1)
             if lo <= hi:
@@ -309,8 +306,8 @@ def _wavefront(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> t
                         best_score, best_cell = score, cell
             older, last, cur = last, cur, older
     if local:
-        return moves, best_score, best_cell
-    return moves, last.item(n), (n, m)
+        return best_score, best_cell
+    return last.item(n), (n, m)
 
 
 def cognancy_matrix(

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import textio
 from .errors import InputError, UnknownSegmentError
-from .features import Inventory
+from .features import GraphemeIndex, Inventory
 # predict_distance is unused here: perfbench/worker.py (traced_targets) patches matrix.predict_distance.
 from .model import LinearModel, _same_system, encode_pairs, predict_distance, predict_rows
 
@@ -49,7 +49,7 @@ class DistanceMatrix:
         if not np.array_equal(values, values.T):
             raise InputError("matrix is not symmetric")
         self.values = values
-        self._index = {g: i for i, g in enumerate(self.segments)}
+        self._index = GraphemeIndex({g: i for i, g in enumerate(self.segments)})
 
     def __len__(self) -> int:
         return len(self.segments)

@@ -103,6 +103,12 @@ class TestGapScore:
         assert gap_score(s, "a") == pytest.approx(-2.5, abs=1e-12)  # d=1.0
         assert gap_score(s, "b") == pytest.approx(1.5, abs=1e-12)  # d=0.6
 
+    @pytest.mark.parametrize("gap_mode", ["constant", "null_column"])
+    def test_missing_segment_errors_in_both_modes(self, gap_mode):
+        s = ScoringScheme(matrix=null_matrix(), gap_mode=gap_mode)
+        with pytest.raises(UnknownSegmentError, match="'zz'"):
+            gap_score(s, "zz")
+
 
 class TestGlobalAlign:
     def test_identical_words_gap_free(self, scheme):
@@ -294,9 +300,9 @@ class TestKernelDispatch:
     def test_only_pairs_below_the_threshold_run_the_row_loop(self, demo_matrix, monkeypatch):
         rows, sizes = align._rows, []
 
-        def spy(s, li, ri, local):
+        def spy(s, li, ri, *rest):
             sizes.append((len(li), len(ri)))
-            return rows(s, li, ri, local)
+            return rows(s, li, ri, *rest)
 
         monkeypatch.setattr(align, "_rows", spy)
         s = ScoringScheme(matrix=demo_matrix)

@@ -318,7 +318,8 @@ def test_cognates_into_a_closed_pipe_exits_0_quietly(demo_matrix_file, tmp_path,
     )
     head = proc.stdout.read(100)  # `| head -c 100`: the table is far over the 64 KiB a pipe buffers
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=300) == 0, err
     assert err == b""
     assert head.startswith(b"# phondist ")
