@@ -17,11 +17,11 @@ The table is filled in one of two layouts, chosen by size. Below the threshold
 (_WAVEFRONT_DIAGONAL) `_rows` fills it row by row and keeps two score rows of
 m+1 floats. At or above it, `_wavefront` fills it one anti-diagonal at a time
 (Wozniak 1997) and keeps three score diagonals of n+1 floats. The threshold is
-a mean anti-diagonal of 100 cells, n·m >= 100·(n+m): two 200-segment words and
+a mean anti-diagonal of 80 cells, n·m >= 80·(n+m): two 160-segment words and
 up. Both write the same n·m bytes of traceback moves, about 1 MB for two
 1,000-segment words, into the one table `_align` allocates and traces back.
-Both make the same float additions in the same tie order, so the layout
-changes the speed and never the alignment.
+Both make the same float additions and take moves in the same tie order, so
+the layout changes the speed and never the alignment.
 
 All-pairs cognancy needs scores only, so `cognancy_matrix` runs the same
 recurrence without a traceback, batched across word pairs (the
@@ -32,12 +32,27 @@ their left and right words; a chunk's table is sized by the longest words in
 it, and a chunk may span groups. The left word is always the earlier one,
 since swapping the words changes the float additions. Besides the n×n score
 array, the working memory is set by the chunk and the longest word, not by the
-length of the list. It makes the aligner's float additions in the aligner's
-order, but picks each cell with a vector max (np.maximum) where the aligner
-takes the first strictly greater move. That is exact because no cell is ever
-NaN or -0.0 (see _batch_scores), so equal candidates have equal bits and every
-score equals the per-pair aligner's bit for bit. The TSV writer formats and
-writes one row of that array at a time.
+length of the list. The TSV writer formats and writes one row of that array
+at a time.
+
+Both vectorised kernels, `_wavefront` and `_batch_scores`, make `_rows`' float
+additions in its order, but pick each cell's score with a vector max
+(np.maximum; Farrar 2007, Rognes 2011) where `_rows` takes the first strictly
+greater move, and floor local cells with a max against 0.0. (`_wavefront`
+still takes its moves from strict `>` masks in `_rows`' tie order.) The scores
+agree bit for bit because of two invariants of the tables ScoringScheme builds:
+
+- No NaN. Matrix entries are finite and in [0, 1], center is in (0, 1], and
+  sigma and the gap constant are finite, so |sim| <= sigma and every table
+  entry is finite. Each addition has a finite addend, so a cell can reach
+  +-inf but never NaN, where `>` and `maximum` (or `not x > 0` and
+  `x <= 0`) would part.
+- No -0.0. Every cell is a +0.0 origin or floor plus table entries, and in
+  round-to-nearest x + y is -0.0 only when both are -0.0. Equal values thus
+  have equal bits, and a tie cannot change a cell.
+
+A table that could hold NaN or -0.0 needs the masked picks
+(`greater` + `copyto(where=)`) back.
 """
 
 import io
@@ -71,10 +86,12 @@ _STOP, _DIAG, _UP, _LEFT = 0, 1, 2, 3
 _PAIR_CHUNK = 2048
 
 # _align fills a table by anti-diagonals when they average at least this many
-# cells, n·m / (n + m): each diagonal costs a dozen numpy calls whatever its
-# length. 100 is the measured crossover (two 200-segment words). A 2,000 x 20
-# pair has as many cells, but stays on rows, where it runs three times faster.
-_WAVEFRONT_DIAGONAL = 100
+# cells, n·m / (n + m): each diagonal costs 11 numpy calls (14 in local mode)
+# whatever its length. The measured crossover is about 70 in global mode and
+# 75-80 in local mode (two 140-160-segment words); at 80 the anti-diagonals run
+# 1.0-1.3 times faster in both. A 2,000 x 20 pair has more cells than two
+# 160-segment words, but stays on rows, where it runs two to three times faster.
+_WAVEFRONT_DIAGONAL = 80
 
 
 @dataclass(frozen=True)
@@ -255,9 +272,11 @@ def _wavefront(s: ScoringScheme, li: list[int], ri: list[int], local: bool,
 
     Diagonal buffers are indexed by i, so cell (i, d-i) reads cell i-1 of the
     two previous diagonals (diagonal and up moves) and cell i of the last one
-    (left move). Each diagonal is a few numpy operations on slices of buffers
-    allocated once, with _rows' additions and its tie order: diagonal, then
-    up on a strictly greater score, then left on a strictly greater score.
+    (left move). Each diagonal is a few numpy calls on slices of buffers
+    allocated once, with _rows' additions and moves from strict `>` masks in
+    its tie order: diagonal, then up on a strictly greater score, then left on
+    a strictly greater score. Scores are picked with `np.maximum`, exact under
+    the module's no-NaN, no -0.0 premise.
     """
     n, m = len(li), len(ri)
     lidx = np.array(li, dtype=np.intp)
@@ -285,19 +304,18 @@ def _wavefront(s: ScoringScheme, li: list[int], ri: list[int], local: bool,
                 np.add(lrow[lo - 1:hi], rrev[r + lo:r + hi + 1], out=at[:k])
                 sim.take(at[:k], out=c, mode="clip")  # indices are in range; "clip" skips a buffered copy
                 np.add(older[lo - 1:hi], c, out=h)
-                mv.fill(_DIAG)
                 np.add(last[lo - 1:hi], gl[lo - 1:hi], out=c)
                 np.greater(c, h, out=p)
-                np.copyto(h, c, where=p)
-                np.copyto(mv, _UP, where=p)
+                np.maximum(h, c, out=h)
+                np.add(p.view(np.uint8), _DIAG, out=mv)  # _DIAG, or _DIAG + 1 = _UP where up beat it
                 np.add(last[lo:hi + 1], grrev[r + lo:r + hi + 1], out=c)
                 np.greater(c, h, out=p)
-                np.copyto(h, c, where=p)
+                np.maximum(h, c, out=h)
                 np.copyto(mv, _LEFT, where=p)
                 if local:
-                    np.logical_not(np.greater(h, 0.0, out=p), out=p)
-                    np.copyto(h, 0.0, where=p)
+                    np.less_equal(h, 0.0, out=p)
                     np.copyto(mv, _STOP, where=p)
+                    np.maximum(h, 0.0, out=h)
                     # the first best cell in row-major order: first on this diagonal,
                     # then against earlier diagonals by (i, j)
                     a = int(h.argmax())
@@ -357,7 +375,8 @@ def _pair_chunks(lengths: np.ndarray, size: int) -> Iterator[tuple[np.ndarray, n
     is enumerated a block of left words at a time, never whole, so at most
     2·size + len(lengths) indices are held at once.
     """
-    groups = [np.flatnonzero(lengths == k) for k in np.unique(lengths)]  # ascending indices
+    # not np.unique, which imports numpy.ma on numpy 2.x
+    groups = [np.flatnonzero(lengths == k) for k in sorted(set(lengths.tolist()))]  # ascending indices
     left = right = np.empty(0, dtype=np.intp)
     for ia in groups:
         for ib in groups:
@@ -380,21 +399,11 @@ def _batch_scores(sim, gaps, padded, lengths, left, right, local: bool) -> np.nd
     reads only cells above and to its left. Each DP cell is computed into
     buffers allocated once per chunk.
 
-    A cell is picked with `np.maximum` (Farrar 2007; Rognes 2011), not with
-    _align's strict `>` in its tie order, and in local mode the floor is
-    taken before the left-gap chain: max(max(c, 0), l) = max(c, l, 0). The
-    float additions are _align's, in its order. The picks agree bit for bit
-    because of two invariants of the tables ScoringScheme builds:
-
-    - No NaN. Matrix entries are finite and in [0, 1], center is in (0, 1],
-      and sigma and the gap constant are finite, so |sim| <= sigma and every
-      table entry is finite. Each addition has a finite addend, so a cell can
-      reach +-inf but never NaN, where `>` and `maximum` would part.
-    - No -0.0. Every cell is a +0.0 origin or floor plus table entries, and in
-      round-to-nearest x + y is -0.0 only when both are -0.0. Equal values
-      thus have equal bits, and a tie cannot change a cell.
-
-    A table that could hold NaN or -0.0 needs the masked picks back.
+    A cell is picked with `np.maximum`, not with _align's strict `>` in its
+    tie order, which is exact under the module's no-NaN, no -0.0 premise; in
+    local mode the floor is taken before the left-gap chain:
+    max(max(c, 0), l) = max(c, l, 0). The float additions are _align's, in
+    its order.
     """
     nl, ml = lengths[left], lengths[right]
     n, m, p = nl.max(), ml.max(), len(left)

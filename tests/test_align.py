@@ -3,9 +3,11 @@ import math
 import os
 import random
 import re
+import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -279,11 +281,47 @@ def tie_prone_pair(matrix, n, m, seed):
     return rng.choices(alphabet, k=n), rng.choices(alphabet, k=m)
 
 
+# The vectorised kernels take np.maximum where _rows takes the first strict `>`;
+# that is exact only while no cell is NaN or -0.0 (see the align module).
+# Signed-zero and subnormal tables make ties everywhere, and a gap of
+# +-1.7e308 overflows cells to +-inf.
+HARD_SCHEMES = [
+    {"gap_constant": -0.0},
+    {"gap_constant": 0.0},
+    {"sigma": 5e-324, "center": 1.0},
+    {"sigma": 5e-324, "center": 1.0, "gap_constant": -0.0},
+    {"sigma": 5e-324},  # far pairs underflow to a -0.0 similarity
+    {"sigma": 1.7e308, "gap_constant": 1.7e308},
+    {"sigma": 1.7e308, "gap_constant": -1.7e308},
+]
+
+
+class SignCheckedNumpy:
+    """numpy as the align module calls it, except that every float array written
+    by np.add or np.maximum must hold no NaN and no -0.0. Those arrays are the
+    vectorised kernels' candidates and cells, and no output shows a cell's sign
+    of zero, so only this can catch a kernel that breaks the premise."""
+
+    def __getattr__(self, name):
+        ufunc = getattr(np, name)
+        if name not in ("add", "maximum"):
+            return ufunc
+
+        def checked(*args, out, **kwargs):
+            ufunc(*args, out=out, **kwargs)
+            if out.dtype == np.float64:
+                assert not np.isnan(out).any(), f"np.{name} wrote NaN"
+                assert not (np.signbit(out) & (out == 0.0)).any(), f"np.{name} wrote -0.0"
+            return out
+
+        return checked
+
+
 class TestKernelDispatch:
     """Pairs whose diagonals average align._WAVEFRONT_DIAGONAL cells or more are filled by anti-diagonals."""
 
     @pytest.mark.parametrize("gap_mode", ["constant", "null_column"])
-    @pytest.mark.parametrize("n,m", [(201, 199), (200, 200)])
+    @pytest.mark.parametrize("n,m", [(161, 159), (160, 160)])
     def test_pairs_at_the_threshold_agree_across_kernels(self, demo_matrix, n, m, gap_mode, monkeypatch):
         assert n * m - align._WAVEFRONT_DIAGONAL * (n + m) in (-1, 0)  # just below it, and at it
         s = ScoringScheme(matrix=demo_matrix, gap_mode=gap_mode)
@@ -297,6 +335,51 @@ class TestKernelDispatch:
             assert forced == dispatched
             assert repr(forced.score) == repr(dispatched.score)
 
+    @pytest.mark.parametrize("params", HARD_SCHEMES, ids=repr)
+    @pytest.mark.parametrize("gap_mode", ["constant", "null_column"])
+    def test_both_fills_agree_on_hard_tables(self, demo_matrix, params, gap_mode, monkeypatch):
+        s = ScoringScheme(matrix=demo_matrix, gap_mode=gap_mode, **params)
+        sizes = [(0, 4), (1, 1), (2, 9), (7, 3), (12, 12), (25, 40), (60, 9), (33, 31)]
+        for seed, (n, m) in enumerate(sizes):
+            left, right = tie_prone_pair(demo_matrix, n, m, seed)
+            for aligner in (pd.global_align, pd.local_align):
+                monkeypatch.setattr(align, "_WAVEFRONT_DIAGONAL", math.inf)
+                rows = aligner(s, left, right)
+                monkeypatch.setattr(align, "_WAVEFRONT_DIAGONAL", 0)
+                with mock.patch.object(align, "np", SignCheckedNumpy()):
+                    wavefront = aligner(s, left, right)
+                assert wavefront == rows
+                assert repr(wavefront.score) == repr(rows.score)  # repr tells -0.0 from 0.0
+                assert repr(rows.score) not in ("-0.0", "nan")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        left=st.lists(st.integers(0, 2), max_size=40),
+        right=st.lists(st.integers(0, 2), max_size=40),
+        size=st.sampled_from([2, 3]),  # a 2- or 3-segment alphabet: ties in most cells
+        alphabet_seed=st.integers(0, 2**32 - 1),
+        gap_mode=st.sampled_from(["constant", "null_column"]),
+        local=st.booleans(),
+    )
+    def test_both_fills_write_every_cell_alike(self, demo_matrix, left, right, size, alphabet_seed,
+                                               gap_mode, local):
+        """Not just the traced path: the same end cell and score, and every move byte, from one frame."""
+        alphabet = random.Random(alphabet_seed).sample([g for g in demo_matrix.segments if g != "∅"], size)
+        s = ScoringScheme(matrix=demo_matrix, gap_mode=gap_mode)
+        rows, filled = align._rows, {}
+
+        def both(s, li, ri, local, moves, top, side):  # called with _align's frame
+            for fill in (rows, align._wavefront):
+                table = bytearray(moves)
+                score, cell = fill(s, li, ri, local, table, list(top), list(side))
+                filled[fill.__name__] = repr(score), cell, bytes(table)
+            return rows(s, li, ri, local, moves, top, side)
+
+        aligner = pd.local_align if local else pd.global_align
+        with mock.patch.object(align, "_rows", both), mock.patch.object(align, "_WAVEFRONT_DIAGONAL", math.inf):
+            aligner(s, [alphabet[k % size] for k in left], [alphabet[k % size] for k in right])
+        assert filled["_wavefront"] == filled["_rows"]
+
     def test_only_pairs_below_the_threshold_run_the_row_loop(self, demo_matrix, monkeypatch):
         rows, sizes = align._rows, []
 
@@ -306,12 +389,12 @@ class TestKernelDispatch:
 
         monkeypatch.setattr(align, "_rows", spy)
         s = ScoringScheme(matrix=demo_matrix)
-        # 2,000 x 20 has the cells of 200 x 200, but diagonals of only 20
-        for n, m in [(201, 199), (200, 200), (300, 300), (2000, 20)]:
+        # 2,000 x 20 has more cells than 160 x 160, but diagonals of only 20
+        for n, m in [(161, 159), (160, 160), (300, 300), (2000, 20)]:
             left, right = tie_prone_pair(demo_matrix, n, m, seed=n)
             pd.global_align(s, left, right)
             pd.local_align(s, left, right)
-        assert sizes == [(201, 199), (201, 199), (2000, 20), (2000, 20)]
+        assert sizes == [(161, 159), (161, 159), (2000, 20), (2000, 20)]
 
 
 class TestMonotonicity:
@@ -485,25 +568,14 @@ class TestBatchedCognancyIsExact:
         assert got == pairwise_score_reprs(s, words, mode)
         assert any(r in ("inf", "-inf") for row in got for r in row)
 
-    # The kernel takes np.maximum where the aligners take the first strict `>`;
-    # that is exact only while no cell is NaN or -0.0 (see _batch_scores).
-    # Signed-zero and subnormal tables make ties everywhere, and a gap of
-    # +-1.7e308 overflows cells to +-inf.
-    @pytest.mark.parametrize("params", [
-        {"gap_constant": -0.0},
-        {"gap_constant": 0.0},
-        {"sigma": 5e-324, "center": 1.0},
-        {"sigma": 5e-324, "center": 1.0, "gap_constant": -0.0},
-        {"sigma": 5e-324},  # far pairs underflow to a -0.0 similarity
-        {"sigma": 1.7e308, "gap_constant": 1.7e308},
-        {"sigma": 1.7e308, "gap_constant": -1.7e308},
-    ], ids=repr)
+    @pytest.mark.parametrize("params", HARD_SCHEMES, ids=repr)
     @pytest.mark.parametrize("gap_mode", ["constant", "null_column"])
     @pytest.mark.parametrize("mode", ["global", "local"])
     def test_signed_zeros_and_extremes_match_with_their_sign(self, demo_matrix, params, gap_mode, mode):
         s = ScoringScheme(matrix=demo_matrix, gap_mode=gap_mode, **params)
         words = list_words([g for g in demo_matrix.segments if g != "∅"], seed=4)
-        got = cognancy_score_reprs(s, words, mode)
+        with mock.patch.object(align, "np", SignCheckedNumpy()):
+            got = cognancy_score_reprs(s, words, mode)
         assert got == pairwise_score_reprs(s, words, mode)  # repr tells -0.0 from 0.0
         assert not any(r == "-0.0" or r == "nan" for row in got for r in row)
 
@@ -562,6 +634,32 @@ class TestBatchedCognancyIsExact:
         words = ["".join(w) for w in words]
         with mock.patch.object(align, "_PAIR_CHUNK", chunk):  # per example, not per test call
             assert cognancy_score_reprs(s, words, mode) == pairwise_score_reprs(s, words, mode)
+
+
+# Run in a fresh interpreter, where a lazy import shows: on numpy 2.x np.unique
+# imports numpy.ma, about 15 ms of every `phondist cognates` run on a 2-CPU host.
+IMPORT_PROBE = """
+import sys
+import phondist as pd
+
+before = set(sys.modules)
+s = pd.ScoringScheme(matrix=pd.load_reference_matrix(pd.bundled_path("paper_table.tsv")))
+for mode in ("global", "local"):
+    pd.cognancy_matrix(s, ["pakis", "akim", "sun", "a", "wijam", ""], mode)
+for aligner in (pd.global_align, pd.local_align):
+    aligner(s, "pakis", "akim")  # filled by rows
+    aligner(s, "pa" * 120, "ka" * 110)  # filled by anti-diagonals
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_aligning_imports_no_module():
+    src = str(Path(pd.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True,
+                          encoding="utf-8", timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 class TestPairChunks:
