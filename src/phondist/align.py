@@ -1,46 +1,25 @@
 """Pairwise alignment and cognancy scoring on top of a distance matrix.
 
-Distances are turned into alignment similarities with the linear transform
-sigma * (center - d): pairs closer than `center` score positive, farther
-pairs negative. Gaps are priced either against the null segment's column
-(sigma * (center - d(x, ∅))) or with a flat constant; gap penalties are
-linear, with no affine open/extend distinction.
+Pricing: a column of segments a and b scores sigma * (center - d(a, b)); a
+segment x against a gap scores the gap constant, or sigma * (center - d(x, ∅))
+in null_column mode. Gap penalties are linear.
 
-One dynamic program (`_align`) serves both modes: local alignment floors each
-cell at 0, global alignment does not (a floor of -inf), so an empty local
-alignment is always admissible. It reads only the integer-indexed tables a
-ScoringScheme builds once and takes O(n·m) time. Ties go to the diagonal, then
-a left-word segment against a gap, then a right-word segment against a gap; a
-local alignment ends at the first best cell in row-major order.
+Tie order: a cell takes the diagonal move, then up (a left-word segment
+against a gap) on a strictly greater score, then left (a gap against a
+right-word segment) on a strictly greater score. A local cell not above 0 is
+floored at 0.0, and a local alignment ends at the first best cell in
+row-major order.
 
-The table is filled in one of two layouts, chosen by size. Below the threshold
-(_WAVEFRONT_DIAGONAL) `_rows` fills it row by row and keeps two score rows of
-m+1 floats. At or above it, `_wavefront` fills it one anti-diagonal at a time
-(Wozniak 1997) and keeps three score diagonals of n+1 floats. The threshold is
-a mean anti-diagonal of 80 cells, n·m >= 80·(n+m): two 160-segment words and
-up. Both write the same n·m bytes of traceback moves, about 1 MB for two
-1,000-segment words, into the one table `_align` allocates and traces back.
-Both make the same float additions and take moves in the same tie order, so
-the layout changes the speed and never the alignment.
+Kernels: `_align` fills a pair's table with `_rows` while
+n·m < _WAVEFRONT_DIAGONAL·(n + m), and with `_wavefront` from there on;
+`cognancy_matrix` scores chunks of up to _PAIR_CHUNK pairs with
+`_batch_scores`. Every kernel makes `_rows`' float additions in `_rows`'
+order, so the kernel chosen changes the speed, never a score or a move.
 
-All-pairs cognancy needs scores only, so `cognancy_matrix` runs the same
-recurrence without a traceback, batched across word pairs (the
-inter-sequence layout of SWIPE, Rognes 2011): each DP cell is a few numpy
-operations, into buffers allocated once per chunk, over a chunk of up to
-_PAIR_CHUNK pairs. Pairs are taken in length order, grouped by the lengths of
-their left and right words; a chunk's table is sized by the longest words in
-it, and a chunk may span groups. The left word is always the earlier one,
-since swapping the words changes the float additions. Besides the n×n score
-array, the working memory is set by the chunk and the longest word, not by the
-length of the list. The TSV writer formats and writes one row of that array
-at a time.
-
-Both vectorised kernels, `_wavefront` and `_batch_scores`, make `_rows`' float
-additions in its order, but pick each cell's score with a vector max
-(np.maximum; Farrar 2007, Rognes 2011) where `_rows` takes the first strictly
-greater move, and floor local cells with a max against 0.0. (`_wavefront`
-still takes its moves from strict `>` masks in `_rows`' tie order.) The scores
-agree bit for bit because of two invariants of the tables ScoringScheme builds:
+Exactness premise: the vectorised kernels pick a cell's score with np.maximum
+and floor local cells with a max against 0.0, where `_rows` takes the first
+strictly greater move and floors when `not best > 0.0`. They agree bit for bit
+because of two invariants of the tables ScoringScheme builds:
 
 - No NaN. Matrix entries are finite and in [0, 1], center is in (0, 1], and
   sigma and the gap constant are finite, so |sim| <= sigma and every table
@@ -79,18 +58,10 @@ Column = tuple[str | None, str | None]  # (left token, right token), None = gap
 # cell was floored) and marks the origin of a global one.
 _STOP, _DIAG, _UP, _LEFT = 0, 1, 2, 3
 
-# Word pairs scored together by cognancy_matrix, set by time and peak memory: its
-# working arrays hold a few (longest word + 1) x _PAIR_CHUNK numbers, about 1.4 MB
-# for words of up to 8 segments. On 150 words of 4-8 segments 1024, 2048 and 4096
-# run within 3% of each other, and 4096 adds to the peak.
+# Pairs per cognancy chunk: its working arrays hold a few (longest word + 1) x _PAIR_CHUNK numbers.
 _PAIR_CHUNK = 2048
 
-# _align fills a table by anti-diagonals when they average at least this many
-# cells, n·m / (n + m): each diagonal costs 11 numpy calls (14 in local mode)
-# whatever its length. The measured crossover is about 70 in global mode and
-# 75-80 in local mode (two 140-160-segment words); at 80 the anti-diagonals run
-# 1.0-1.3 times faster in both. A 2,000 x 20 pair has more cells than two
-# 160-segment words, but stays on rows, where it runs two to three times faster.
+# Mean diagonal n·m / (n + m) from which _align fills by anti-diagonals, each a dozen numpy calls at any length.
 _WAVEFRONT_DIAGONAL = 80
 
 
@@ -196,12 +167,9 @@ def _indices(s: ScoringScheme, word: "str | Sequence[str]") -> list[int]:
 
 
 def _align(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> Alignment:
-    """The dynamic program behind both aligners. A cell takes the first best of
-    the diagonal, up (left token vs gap) and left (gap vs right token) moves;
-    in local mode a cell not above 0 is floored at 0, where an alignment starts.
-    It sets up the move table, with its boundary moves, and the boundary scores
-    of row 0 (`top`) and column 0 (`side`). Small pairs fill the interior row by
-    row, large ones by anti-diagonals; both write the same moves and scores."""
+    """The dynamic program behind both aligners. It sets up the move table, with
+    its boundary moves, and the boundary scores of row 0 (`top`) and column 0
+    (`side`), has a fill write the interior, and traces back from its end cell."""
     n, m = len(li), len(ri)
     width = m + 1
     moves = bytearray(width * (n + 1))  # _STOP everywhere
@@ -273,10 +241,8 @@ def _wavefront(s: ScoringScheme, li: list[int], ri: list[int], local: bool,
     Diagonal buffers are indexed by i, so cell (i, d-i) reads cell i-1 of the
     two previous diagonals (diagonal and up moves) and cell i of the last one
     (left move). Each diagonal is a few numpy calls on slices of buffers
-    allocated once, with _rows' additions and moves from strict `>` masks in
-    its tie order: diagonal, then up on a strictly greater score, then left on
-    a strictly greater score. Scores are picked with `np.maximum`, exact under
-    the module's no-NaN, no -0.0 premise.
+    allocated once. Moves come from strict `>` masks in the tie order, scores
+    from `np.maximum` under the exactness premise (module docstring).
     """
     n, m = len(li), len(ri)
     lidx = np.array(li, dtype=np.intp)
@@ -397,13 +363,9 @@ def _batch_scores(sim, gaps, padded, lengths, left, right, local: bool) -> np.nd
     Arrays are laid out (DP column, pair). A pair's words are padded past
     their lengths; no cell it reads lies in the padding, since cell (i, j)
     reads only cells above and to its left. Each DP cell is computed into
-    buffers allocated once per chunk.
-
-    A cell is picked with `np.maximum`, not with _align's strict `>` in its
-    tie order, which is exact under the module's no-NaN, no -0.0 premise; in
-    local mode the floor is taken before the left-gap chain:
-    max(max(c, 0), l) = max(c, l, 0). The float additions are _align's, in
-    its order.
+    buffers allocated once per chunk. Cells are picked with `np.maximum` under
+    the exactness premise (module docstring); in local mode the floor is taken
+    before the left-gap chain: max(max(c, 0), l) = max(c, l, 0).
     """
     nl, ml = lengths[left], lengths[right]
     n, m, p = nl.max(), ml.max(), len(left)

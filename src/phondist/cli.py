@@ -1,16 +1,6 @@
 """Command-line interface: fit models, emit matrices, align words, score cognancy.
 
-Subcommands compose through files so a full run is scriptable:
-
-    phondist fit --features features.tsv --seed seed.csv -o model.json
-    phondist matrix --model model.json --features features.tsv -o matrix.tsv
-    phondist distance --matrix matrix.tsv a i
-    phondist align --matrix matrix.tsv woldemort waldemar
-    phondist cognates --matrix matrix.tsv --words list.txt
-    phondist pca --matrix matrix.tsv -k 2 --format svg -o scatter.svg
-
-Exit codes: 0 success, 1 internal failure only, 2 usage or input error. A
-closed stdout (`phondist cognates ... | head`) ends a command quietly, with 0.
+README's "Pipeline walkthrough" runs each subcommand and states the exit codes.
 """
 
 import argparse
@@ -146,8 +136,18 @@ def _load(path: str, loader, *args):
         return loader(path, *args)
 
 
+# The line breaks of str.splitlines.
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _one_line(value) -> str:
+    """str(value) with its line breaks, and the surrogates that stand for a path's
+    undecodable bytes (UTF-8 cannot encode them), backslash-escaped."""
+    return "".join(ascii(c)[1:-1] if c in _BREAKS or "\ud800" <= c <= "\udfff" else c for c in str(value))
+
+
 def _params_header(**params) -> str:
-    rendered = " ".join(f"{k}={v}" for k, v in params.items())
+    rendered = " ".join(f"{k}={_one_line(v)}" for k, v in params.items())
     return f"phondist {__version__} {rendered}"
 
 

@@ -1,19 +1,8 @@
 """Binary distinctive-feature inventories and IPA tokenization.
 
-A feature table (TSV, one row per segment, one column per feature) is loaded
-into an immutable Inventory. Feature values are strictly binary: "+" is true,
-"-" and "0" ("non applicable") are both false. The reserved null segment "∅"
-stands for the absence of sound and is always present, so downstream scoring
-can price sound creation and deletion.
-
-Words are tokenized greedy leftmost-longest against a grapheme set (the
-aligners use the distance matrix's), so multi-codepoint entries (t͡s, aː, i̘)
-win over their prefixes. Words and graphemes are compared after `textio.nfc`
-(strip, then NFC); no other normalization or diacritic composition is
-attempted, so every grapheme a word may contain must be listed in the matrix.
-
-The table is read through `textio.read_table` (stripped, NFC-normalized cells
-with the file's line numbers); this module only interprets the cells.
+README's "Data formats" describes the feature table. The reserved null
+segment "∅" stands for the absence of sound and is in every Inventory, so
+scoring can price sound creation and deletion.
 """
 
 import hashlib
@@ -128,7 +117,8 @@ def _longest_first(graphemes: Collection[str]) -> list[int]:
 
 
 def tokenize(word: str, graphemes: Collection[str]) -> list[str]:
-    """Greedy leftmost-longest segmentation of `word` over `graphemes`.
+    """Greedy leftmost-longest segmentation of `word` over `graphemes`, after
+    `textio.nfc`; no other normalization or diacritic composition is attempted.
 
     `graphemes` is a set or mapping; it is probed as it is, and a
     GraphemeIndex's lengths are read, not recomputed. Raises TokenizeError

@@ -1,16 +1,7 @@
 """Dense symmetric distance matrices, their PCA, and TSV/SVG export.
 
-A DistanceMatrix holds entries in [0, 1] with an exactly zero diagonal and
-exact symmetry (each pair is computed once and mirrored). No metric-space
-property beyond that is assumed; in particular the triangle inequality may
-fail, since a clamped linear model does not guarantee it.
-
-PCA treats matrix rows as observations: columns are mean-centered and the
-sample covariance is eigendecomposed. Component signs are fixed so each
-component's largest-magnitude entry is positive, keeping exports reproducible.
-
-Matrix TSVs are read through `textio.read_table` (stripped, NFC-normalized
-cells with the file's line numbers); every export is written through textio.
+A DistanceMatrix holds entries in [0, 1], an exactly zero diagonal and exact
+symmetry; no other metric property, not even the triangle inequality, is guaranteed.
 """
 
 import re
@@ -131,7 +122,8 @@ def load_reference_matrix(source: str | Path | TextIO) -> DistanceMatrix:
 
 
 def pca(dm: DistanceMatrix, k: int) -> PcaResult:
-    """Principal components of the matrix rows (mean-centered columns)."""
+    """Principal components of the matrix rows (mean-centered columns), each
+    signed so that its largest-magnitude entry is positive."""
     n = len(dm)
     if not 1 <= k <= n:
         raise InputError(f"k must be in [1, {n}], got {k}")
@@ -143,7 +135,6 @@ def pca(dm: DistanceMatrix, k: int) -> PcaResult:
     order = np.argsort(eigenvalues)[::-1]
     eigenvalues = np.clip(eigenvalues[order][:k], 0.0, None)
     components = eigenvectors[:, order][:, :k].T.copy()
-    # Sign convention: largest-magnitude entry of each component is positive.
     for row in components:
         pivot = np.argmax(np.abs(row))
         if row[pivot] < 0:

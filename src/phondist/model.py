@@ -1,34 +1,7 @@
 """Symmetric pair encoding and the ridge-stabilized least-squares distance model.
 
-A segment pair is encoded as 2F boolean predictors for F features: per feature
-f, bothPlus_f fires when both segments are +f and bothMinus_f when both are
-−f. A feature mismatch leaves both indicators off, so disagreement everywhere
-is the regression baseline and lands on the intercept. The encoding is
-symmetric in its arguments by construction, which makes predictions symmetric
-too.
-
-Fitting minimizes
-
-    sum((score - intercept - w·x)^2) + lambda * ||w||^2
-
-with the intercept left unpenalized. The solver centers the design and the
-targets (equivalent to the unpenalized intercept) and shrinks along the
-singular spectrum of the centered design,
-
-    w = V diag(s / (s^2 + lambda)) U^T y_c,
-
-which stays finite under the heavy predictor collinearity this kind of
-feature data produces; no normal-equation matrix is ever inverted. With
-lambda = 0 the same route degenerates to the pseudoinverse, i.e. plain OLS on
-well-conditioned data.
-
-Predicted distances are clamped to the dimensionless [0, 1] scale and a
-segment's distance to itself is 0 by definition, not by training. The encoding
-(`encode_pairs`) and the prediction (`predict_rows`) each live in one function;
-build_matrix checks the feature-system fingerprint once per inventory,
-predict_distance once per segment pair. A LinearModel checks its own
-invariants, however it was made, so load_model only parses.
-
+README's "The model" explains the encoding and the solver. A LinearModel
+checks its own invariants, however it was made, so load_model only parses.
 Models are saved and loaded as UTF-8 JSON through textio.
 """
 
@@ -112,7 +85,8 @@ def _checked_lambda(lam: float) -> None:
 
 
 def fit(ds: SeedDataset, inv: Inventory, lam: float = DEFAULT_LAMBDA) -> LinearModel:
-    """Fit the distance model on a (normalized, augmented) dataset."""
+    """Fit the distance model on a (normalized, augmented) dataset: minimize
+    sum((score - intercept - w·x)^2) + lam * ||w||^2, the intercept unpenalized."""
     _checked_lambda(lam)
     records = ds.records
     if len(records) < 2:
@@ -151,7 +125,7 @@ def fit(ds: SeedDataset, inv: Inventory, lam: float = DEFAULT_LAMBDA) -> LinearM
         )
 
     return LinearModel(
-        intercept=intercept,
+        intercept=float(intercept),
         coefficients=tuple(float(c) for c in w),
         lam=lam,
         feature_names=inv.feature_names,

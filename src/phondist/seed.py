@@ -1,22 +1,8 @@
 """Training-data pipeline: seed similarity scores, inferred deltas, overrides.
 
-The seed matrix (CSV rows "seg_a,seg_b,score") covers only part of the segment
-inventory, so after min-max normalization it is extended in two steps:
-
-1. Class deltas are measured on the normalized data (stop/affricate mean,
-   stop/fricative mean, half the stop/ejective mean, flap/trill mean for
-   length, a vowel-proximity mean for tongue-root advancement, replicated to
-   retraction) and applied through a template file that enumerates synthetic
-   pairs: target = clamp(base ± delta). Fortis templates instead average the
-   voiced and voiceless base records. Template rows never overwrite existing
-   records.
-2. A manual adjustments file (same CSV shape, scores already in [0, 1])
-   overrides or appends records for pairs the model still gets wrong.
-
-Every stage returns a new SeedDataset; record provenance is tracked as
-"seed", "delta" or "adjustment". Files are read through textio (CSV column
-counts checked, cells stripped and NFC-normalized); a malformed bundle file
-raises InputError. Records, datasets and template rules check their own data.
+README's "Data formats" describes each input file. Every stage returns a new
+SeedDataset whose records carry their provenance; records, datasets and
+template rules check their own data.
 """
 
 import math

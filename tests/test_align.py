@@ -662,6 +662,18 @@ def test_aligning_imports_no_module():
     assert done.stdout.split() == []
 
 
+def test_readme_quotes_the_kernel_constants():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = " ".join(readme.read_text(encoding="utf-8").split())  # undo the line wrapping
+    number = r"(\d[\d,]*)"
+    threshold = re.search(rf"mean diagonal of {number} cells, n·m ≥ {number}·\(n\+m\): two {number}-segment words", text)
+    chunk = re.search(rf"{number} pairs at a time", text)
+    assert threshold and chunk, "README no longer quotes the wavefront threshold or the pair chunk"
+    mean, factor, side, pairs = (int(g.replace(",", "")) for g in (*threshold.groups(), chunk[1]))
+    assert mean == factor == side // 2 == align._WAVEFRONT_DIAGONAL
+    assert pairs == align._PAIR_CHUNK
+
+
 class TestPairChunks:
     """The batched kernel's enumeration: every pair once, in length order, in bounded chunks."""
 

@@ -31,6 +31,19 @@ def run(*argv):
     return main(list(argv))
 
 
+def _copy_or_skip(source, target: Path) -> Path:
+    try:
+        target.write_bytes(Path(source).read_bytes())
+    except (OSError, UnicodeEncodeError):
+        pytest.skip(f"the filesystem refuses the name {target.name!r}")
+    return target
+
+
+def _escaped(path: Path) -> str:
+    """The path as an output header echoes it."""
+    return str(path).replace("\n", "\\n").replace("\udcff", "\\udcff")
+
+
 @pytest.fixture(scope="module")
 def fitted(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "model.json"
@@ -173,6 +186,17 @@ class TestMatrix:
         err = capsys.readouterr().err
         assert code == 2
         assert "feature system" in err and str(features) in err and str(fitted) in err
+
+    @pytest.mark.parametrize("name", ["m\nx.json", "m\udcff.json"], ids=["line-break", "non-utf8-byte"])
+    def test_odd_model_path_writes_a_matrix_that_loads(self, name, fitted, tmp_path):
+        # The header echoes the model path: a line break must not split it, and a
+        # path's undecodable byte (a surrogate in argv) must not crash the write.
+        model = _copy_or_skip(fitted, tmp_path / name)
+        out = tmp_path / "matrix.tsv"
+        assert run("matrix", "--model", str(model), "--features", DATA["features"], "-o", str(out)) == 0
+        header = out.read_text(encoding="utf-8").splitlines()[0]
+        assert header == f"# phondist {phondist.__version__} model={_escaped(model)} include_null=False"
+        assert len(phondist.load_reference_matrix(out)) == 62
 
     @pytest.mark.parametrize("field,value,match", [
         ("version", 7, "unsupported model version 7"),
@@ -344,6 +368,18 @@ class TestPca:
         comment = next(n for n in doc.documentElement.childNodes if n.nodeType == n.COMMENT_NODE)
         assert "--" not in comment.data and "a- -b-.tsv" in comment.data
         assert len(doc.getElementsByTagName("circle")) == 10
+
+    @pytest.mark.parametrize("fmt", ["tsv", "svg"])
+    def test_matrix_path_with_non_utf8_byte(self, fmt, tmp_path):
+        matrix = _copy_or_skip(DATA["fixture"], tmp_path / "p\udcff.tsv")
+        out = tmp_path / f"pca.{fmt}"
+        assert run("pca", "--matrix", str(matrix), "--format", fmt, "-o", str(out)) == 0
+        text = out.read_text(encoding="utf-8")
+        assert f"phondist {phondist.__version__} matrix={_escaped(matrix)} k=2" in text
+        if fmt == "svg":
+            assert len(xml.dom.minidom.parse(str(out)).getElementsByTagName("circle")) == 10
+        else:
+            assert [len(line.split("\t")) for line in text.splitlines()[1:]] == [3] * 11
 
     def test_tsv_columns(self, tmp_path):
         out = tmp_path / "coords.tsv"

@@ -280,6 +280,7 @@ class TestSaveLoad:
         path = tmp_path / "model.json"
         pd.save_model(demo_model, path)
         loaded = pd.load_model(path)
+        assert repr(loaded) == repr(demo_model)  # a fitted intercept is a float, as a loaded one is
         assert loaded.coefficients == demo_model.coefficients
         assert loaded.intercept == demo_model.intercept
         assert loaded.lam == demo_model.lam
