@@ -33,15 +33,6 @@ from .matrix import (
     pca,
 )
 from .model import DEFAULT_LAMBDA, fit, load_model, save_model
-from .seed import (
-    apply_adjustments,
-    augment_with_deltas,
-    derive_deltas,
-    load_delta_bundles,
-    load_seed_matrix,
-    load_templates,
-    normalize_scores,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,7 +119,7 @@ def _naming(*paths: str):
     try:
         yield
     except InputError as exc:
-        raise InputError(f"{', '.join(paths)}: {exc}") from exc
+        raise InputError(f"{', '.join(map(_one_line, paths))}: {exc}") from exc
 
 
 def _load(path: str, loader, *args):
@@ -152,19 +143,21 @@ def _params_header(**params) -> str:
 
 
 def cmd_fit(args) -> int:
+    from . import seed  # here, as no other command runs the seed pipeline
+
     if bool(args.templates) != bool(args.bundles):
         raise InputError("--templates and --bundles (the delta pair lists) go together")
     inv = _load(args.features, load_feature_table)
     with _naming(args.seed):
-        ds = normalize_scores(load_seed_matrix(args.seed, inv))
+        ds = seed.normalize_scores(seed.load_seed_matrix(args.seed, inv))
     if args.templates:
-        bundles = _load(args.bundles, load_delta_bundles)
-        templates = _load(args.templates, load_templates)
+        bundles = _load(args.bundles, seed.load_delta_bundles)
+        templates = _load(args.templates, seed.load_templates)
         with _naming(args.seed, args.bundles, args.templates):
-            ds = augment_with_deltas(ds, derive_deltas(ds, bundles), inv, templates)
+            ds = seed.augment_with_deltas(ds, seed.derive_deltas(ds, bundles), inv, templates)
     if args.adjustments:
         with _naming(args.adjustments):
-            ds = apply_adjustments(ds, args.adjustments)
+            ds = seed.apply_adjustments(ds, args.adjustments)
     model = fit(ds, inv, args.lam)
     save_model(model, args.out)
     print(f"fitted on {len(ds)} records, lambda={args.lam}")
@@ -185,7 +178,7 @@ def cmd_matrix(args) -> int:
         dm = build_matrix(model, inv, include_null=args.include_null)
     header = _params_header(model=args.model, include_null=args.include_null)
     export_matrix_tsv(dm, args.out, header=header)
-    print(f"wrote {len(dm)}x{len(dm)} matrix to {args.out}")
+    print(f"wrote {len(dm)}x{len(dm)} matrix to {_one_line(args.out)}")
     return 0
 
 
@@ -241,7 +234,7 @@ def cmd_pca(args) -> int:
         export_pca_svg(result, args.out, header=header)
     else:
         export_pca_tsv(result, args.out, header=header)
-    print(f"wrote {args.format} to {args.out}")
+    print(f"wrote {args.format} to {_one_line(args.out)}")
     return 0
 
 

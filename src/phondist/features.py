@@ -5,7 +5,6 @@ segment "∅" stands for the absence of sound and is in every Inventory, so
 scoring can price sound creation and deletion.
 """
 
-import hashlib
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,6 +14,15 @@ import numpy as np
 
 from . import textio
 from .errors import InputError, TokenizeError, UnknownSegmentError
+
+# CPython's built-in SHA-256, as random.py takes its SHA-512: hashlib loads OpenSSL.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 NULL_GRAPHEME = "∅"
 
@@ -97,9 +105,8 @@ class Inventory:
 
 
 def fingerprint_features(names: Sequence[str]) -> str:
-    """Stable hash of an ordered feature-name list."""
-    joined = "\t".join(names).encode("utf-8")
-    return hashlib.sha256(joined).hexdigest()
+    """SHA-256 of the tab-joined feature names, UTF-8 encoded, in hex."""
+    return _sha256("\t".join(names).encode("utf-8")).hexdigest()
 
 
 class GraphemeIndex(dict):

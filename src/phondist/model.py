@@ -9,14 +9,16 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
 
 from . import textio
 from .errors import InputError, NumericalError
 from .features import Inventory, Segment, fingerprint_features
-from .seed import SeedDataset
+
+if TYPE_CHECKING:  # annotations only: loading a model does not load the seed pipeline
+    from .seed import SeedDataset
 
 DEFAULT_LAMBDA = 1e-4
 
@@ -84,7 +86,7 @@ def _checked_lambda(lam: float) -> None:
         raise InputError(f"lambda must be finite and >= 0, got {lam}")
 
 
-def fit(ds: SeedDataset, inv: Inventory, lam: float = DEFAULT_LAMBDA) -> LinearModel:
+def fit(ds: "SeedDataset", inv: Inventory, lam: float = DEFAULT_LAMBDA) -> LinearModel:
     """Fit the distance model on a (normalized, augmented) dataset: minimize
     sum((score - intercept - w·x)^2) + lam * ||w||^2, the intercept unpenalized."""
     _checked_lambda(lam)

@@ -638,10 +638,12 @@ class TestBatchedCognancyIsExact:
 
 # Run in a fresh interpreter, where a lazy import shows: on numpy 2.x np.unique
 # imports numpy.ma, about 15 ms of every `phondist cognates` run on a 2-CPU host.
+# The package root's exports load on first use, so the probe resolves them first.
 IMPORT_PROBE = """
 import sys
 import phondist as pd
 
+names = (pd.ScoringScheme, pd.load_reference_matrix, pd.cognancy_matrix, pd.global_align, pd.local_align)
 before = set(sys.modules)
 s = pd.ScoringScheme(matrix=pd.load_reference_matrix(pd.bundled_path("paper_table.tsv")))
 for mode in ("global", "local"):

@@ -227,6 +227,14 @@ class TestDistance:
         assert run("distance", "--matrix", DATA["fixture"], "q", "x") == 2
         assert "q" in capsys.readouterr().err
 
+    def test_malformed_matrix_at_a_path_with_a_line_break_one_line_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("segment\ta\tb\nb\t0\t1\na\t1\t0\n", encoding="utf-8")  # rows out of order
+        matrix = _copy_or_skip(bad, tmp_path / "bad\nm.tsv")
+        assert run("distance", "--matrix", str(matrix), "a", "b") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"phondist distance: error: {_escaped(matrix)}: row ")
+
 
 class TestAlign:
     def test_identical_words(self, capsys):
@@ -398,6 +406,22 @@ class TestPca:
     def test_k_too_large_exit_2(self, tmp_path):
         assert run("pca", "--matrix", DATA["fixture"], "-k", "99",
                    "-o", str(tmp_path / "x.tsv")) == 2
+
+
+@pytest.mark.parametrize("command", ["matrix", "pca"])
+def test_wrote_line_escapes_an_odd_out_path(command, fitted, tmp_path):
+    # Under a strict UTF-8 stdout, the raw surrogate of the name's undecodable
+    # byte would fail the print after the file is written.
+    out = _copy_or_skip(DATA["fixture"], tmp_path / "o2\udcff.tsv")
+    inputs = {"matrix": ["--model", str(fitted), "--features", DATA["features"]],
+              "pca": ["--matrix", DATA["fixture"]]}[command]
+    src = str(Path(phondist.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "phondist", command, *inputs, "-o", str(out)],
+                          env=env, capture_output=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.decode("utf-8").rstrip("\n").endswith(f" to {_escaped(out)}")
 
 
 class TestParserBasics:

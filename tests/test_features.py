@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import random
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import phondist as pd
 from phondist.errors import InputError, TokenizeError, UnknownSegmentError
-from phondist.features import tokenize
+from phondist.features import fingerprint_features, tokenize
 
 from oracles import all_segmentations, leftmost_longest
 
@@ -175,3 +176,20 @@ class TestRender:
         assert "".join(parsed) == word
         # determinism
         assert tokenize(word, set(demo_inventory.graphemes)) == parsed
+
+
+class TestFingerprint:
+    """The built-in SHA-256 the fingerprint uses gives hashlib's digest, so model files keep it."""
+
+    @staticmethod
+    def reference(names):
+        return hashlib.sha256("\t".join(names).encode("utf-8")).hexdigest()
+
+    def test_bundled_names(self):
+        inv = pd.load_feature_table(pd.bundled_path("features.tsv"))
+        assert inv.fingerprint == fingerprint_features(inv.feature_names) == self.reference(inv.feature_names)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=12), max_size=8))
+    def test_any_names(self, names):
+        assert fingerprint_features(names) == self.reference(names)

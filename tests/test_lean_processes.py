@@ -1,0 +1,85 @@
+"""Each CLI process loads only what its command runs; `import phondist` loads no submodule."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import phondist
+from phondist import bundled_path
+
+SRC = str(Path(phondist.__file__).resolve().parent.parent)
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+DATA = {name: str(bundled_path(name)) for name in (
+    "features.tsv", "seed_scores.csv", "delta_templates.csv", "delta_bundles.json", "adjustments.csv",
+    "wordlists/test1.txt",
+)}
+
+# `python -m phondist ARGS`, then the loaded module names as the last stdout line.
+RUN_AND_LIST_MODULES = """
+import runpy, sys
+sys.argv[0] = "phondist"
+try:
+    runpy.run_module("phondist", run_name="__main__")
+finally:
+    print("\\n" + " ".join(sorted(sys.modules)))
+"""
+
+MATRIX = ["--matrix", "matrix.tsv"]
+COMMANDS = {
+    "fit": ["--features", DATA["features.tsv"], "--seed", DATA["seed_scores.csv"],
+            "--templates", DATA["delta_templates.csv"], "--bundles", DATA["delta_bundles.json"],
+            "--adjustments", DATA["adjustments.csv"], "-o", "model.json"],
+    "matrix": ["--model", "model.json", "--features", DATA["features.tsv"], "--include-null", "-o", "matrix.tsv"],
+    "cognates": [*MATRIX, "--words", DATA["wordlists/test1.txt"], "--threshold", "0"],
+    "align": [*MATRIX, "tɔxtər", "dɔtər"],
+    "pca": [*MATRIX, "--format", "svg", "-o", "scatter.svg"],
+    "distance": [*MATRIX, "m", "n"],
+}
+
+
+def _python(code: str, *args: str, cwd=None) -> set[str]:
+    done = subprocess.run([sys.executable, "-c", code, *args], env=ENV, cwd=cwd, capture_output=True,
+                          text=True, encoding="utf-8", timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory) -> dict[str, set[str]]:
+    """The modules each command has loaded at its exit, run in order as README's walkthrough does."""
+    workdir = tmp_path_factory.mktemp("lean")
+    return {command: _python(RUN_AND_LIST_MODULES, command, *args, cwd=workdir)
+            for command, args in COMMANDS.items()}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_command_loads_openssl(command, loaded):
+    assert "_hashlib" not in loaded[command]
+
+
+@pytest.mark.parametrize("command", ["matrix", "cognates", "align", "pca", "distance"])
+def test_only_fit_loads_the_seed_pipeline(command, loaded):
+    assert "phondist.seed" in loaded["fit"]
+    assert "phondist.seed" not in loaded[command]
+
+
+def test_import_phondist_loads_no_submodule_and_no_numpy():
+    modules = _python("import sys, phondist; print(' '.join(sys.modules))")
+    assert "numpy" not in modules and "_hashlib" not in modules
+    assert sorted(m for m in modules if m.startswith("phondist")) == ["phondist"]
+
+
+def test_exports_resolve_on_first_use():
+    assert set(phondist.__all__) <= set(dir(phondist))
+    assert phondist.SeedDataset.__module__ == "phondist.seed"
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        phondist.nope
+
+
+def test_exports_stay_what_their_submodule_defined():
+    # perfbench's tracing touches `phondist.align`, then patches its attributes.
+    code = "import phondist as pd; f = pd.align.global_align; pd.align.global_align = None; print(pd.global_align is f)"
+    assert _python(code) == {"True"}
