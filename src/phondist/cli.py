@@ -65,23 +65,27 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"ridge strength, >= 0 (default {DEFAULT_LAMBDA})",
     )
     p_fit.add_argument("-o", "--out", required=True, help="output model JSON")
+    p_fit.set_defaults(run=cmd_fit)
 
     p_matrix = sub.add_parser("matrix", help="materialize the full distance matrix")
     p_matrix.add_argument("--model", required=True, help="fitted model JSON")
     p_matrix.add_argument("--features", required=True, help="feature table TSV")
     p_matrix.add_argument("--include-null", action="store_true", help="add the ∅ row/column")
     p_matrix.add_argument("-o", "--out", required=True, help="output matrix TSV")
+    p_matrix.set_defaults(run=cmd_matrix)
 
     p_dist = sub.add_parser("distance", help="look up one pairwise distance")
     p_dist.add_argument("--matrix", required=True, help="matrix TSV")
     p_dist.add_argument("seg_a")
     p_dist.add_argument("seg_b")
+    p_dist.set_defaults(run=cmd_distance)
 
     p_align = sub.add_parser("align", help="align two IPA words")
     p_align.add_argument("--matrix", required=True, help="matrix TSV")
     p_align.add_argument("word1")
     p_align.add_argument("word2")
     _add_scoring_options(p_align)
+    p_align.set_defaults(run=cmd_align)
 
     p_cog = sub.add_parser("cognates", help="pairwise cognancy scores for a word list")
     p_cog.add_argument("--matrix", required=True, help="matrix TSV")
@@ -91,12 +95,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="mark scores >= threshold with '*' (conventionally 0)",
     )
     _add_scoring_options(p_cog)
+    p_cog.set_defaults(run=cmd_cognates)
 
     p_pca = sub.add_parser("pca", help="principal components of a distance matrix")
     p_pca.add_argument("--matrix", required=True, help="matrix TSV")
     p_pca.add_argument("-k", "--components", type=int, default=2, help="component count")
     p_pca.add_argument("--format", choices=("tsv", "svg"), default="tsv")
     p_pca.add_argument("-o", "--out", required=True, help="output file")
+    p_pca.set_defaults(run=cmd_pca)
 
     return parser
 
@@ -142,7 +148,7 @@ def _params_header(**params) -> str:
     return f"phondist {__version__} {rendered}"
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> None:
     from . import seed  # here, as no other command runs the seed pipeline
 
     if bool(args.templates) != bool(args.bundles):
@@ -168,10 +174,9 @@ def cmd_fit(args) -> int:
     print("largest coefficients:")
     for name, value in ranked[:5]:
         print(f"  {name:32s} {value:+.6f}")
-    return 0
 
 
-def cmd_matrix(args) -> int:
+def cmd_matrix(args) -> None:
     inv = _load(args.features, load_feature_table)
     model = _load(args.model, load_model)
     with _naming(args.features, args.model):
@@ -179,16 +184,14 @@ def cmd_matrix(args) -> int:
     header = _params_header(model=args.model, include_null=args.include_null)
     export_matrix_tsv(dm, args.out, header=header)
     print(f"wrote {len(dm)}x{len(dm)} matrix to {_one_line(args.out)}")
-    return 0
 
 
 def _matrix(args):
     return _load(args.matrix, load_reference_matrix)
 
 
-def cmd_distance(args) -> int:
+def cmd_distance(args) -> None:
     print(f"{_matrix(args).get(args.seg_a, args.seg_b):.2f}")
-    return 0
 
 
 def _scheme(args) -> ScoringScheme:
@@ -201,15 +204,14 @@ def _scheme(args) -> ScoringScheme:
     )
 
 
-def cmd_align(args) -> int:
+def cmd_align(args) -> None:
     aligner = global_align if args.mode == "global" else local_align
     alignment = aligner(_scheme(args), args.word1, args.word2)
     print(format_alignment(alignment))
     print(f"score: {alignment.score:+.2f}")
-    return 0
 
 
-def cmd_cognates(args) -> int:
+def cmd_cognates(args) -> None:
     scheme = _scheme(args)
     _check_threshold(args.threshold)  # before the all-pairs run, not after it
     with _naming(args.words):
@@ -224,10 +226,9 @@ def cmd_cognates(args) -> int:
         gap="null_column" if args.null_gaps else args.gap,
     )
     write_cognancy_tsv(cm, sys.stdout, threshold=args.threshold, header=header)
-    return 0
 
 
-def cmd_pca(args) -> int:
+def cmd_pca(args) -> None:
     result = pca(_matrix(args), args.components)
     header = _params_header(matrix=args.matrix, k=args.components)
     if args.format == "svg":
@@ -235,27 +236,18 @@ def cmd_pca(args) -> int:
     else:
         export_pca_tsv(result, args.out, header=header)
     print(f"wrote {args.format} to {_one_line(args.out)}")
-    return 0
-
-
-_COMMANDS = {
-    "fit": cmd_fit,
-    "matrix": cmd_matrix,
-    "distance": cmd_distance,
-    "align": cmd_align,
-    "cognates": cmd_cognates,
-    "pca": cmd_pca,
-}
 
 
 def main(argv: "list[str] | None" = None) -> int:
+    """Run one subcommand and return its exit code: 0 on success or once stdout's reader
+    has gone, 2 for a usage or input error, 1 for a numerical failure."""
     args, unknown = build_parser().parse_known_args(argv)
     try:
         if unknown:
             raise InputError(f"unrecognized arguments: {' '.join(unknown)}")
-        code = _COMMANDS[args.command](args)
+        args.run(args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
-        return code
+        return 0
     except BrokenPipeError:  # the reader of stdout has gone (`phondist cognates ... | head`)
         # Python's `signal` docs: point stdout at devnull, so that the
         # interpreter's flush at exit does not fail again, and exit quietly.

@@ -32,6 +32,9 @@ DROPPED_FEATURES = ("stress", "tone")
 
 FeatureVector = tuple[bool, ...]
 
+# A feature-table cell's value: "0" marks a feature that does not apply; "−" is U+2212 MINUS SIGN.
+_CELL_VALUES = {"+": True, "-": False, "0": False, "−": False}
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -61,9 +64,12 @@ class Inventory:
         for grapheme, values in rows:
             if grapheme in segments:
                 raise InputError(f"duplicate segment row for {grapheme!r}")
+            features = tuple(values)
+            if len(features) != len(names):
+                raise InputError(f"segment {grapheme!r}: expected {len(names)} feature values, got {len(features)}")
             segments[grapheme] = Segment(
                 grapheme=grapheme,
-                features=tuple(values),
+                features=features,
                 system_fingerprint=self.fingerprint,
             )
         if not segments:
@@ -155,9 +161,9 @@ def load_feature_table(source: str | Path | TextIO) -> Inventory:
     """Load a TSV feature table into an Inventory.
 
     The header must start with the literal column "segment"; remaining columns
-    are feature names. Cells hold "+", "-" or "0". Blank lines and "#" comment
-    lines are skipped, and errors name the file's line (see textio). Columns
-    named "stress" or "tone" are discarded.
+    are feature names. Cells hold "+", "-" (or "−", U+2212) or "0". Blank
+    lines and "#" comment lines are skipped, and errors name the file's line
+    (see textio). Columns named "stress" or "tone" are discarded.
     """
     raw_names, rows = textio.read_table(source)
     keep = [i for i, name in enumerate(raw_names) if name not in DROPPED_FEATURES]
@@ -169,18 +175,12 @@ def load_feature_table(source: str | Path | TextIO) -> Inventory:
     for lineno, grapheme, cells in rows:
         if not grapheme:
             raise InputError(f"row {lineno}: empty segment name")
-        values = []
         for i in keep:
-            cell = cells[i]
-            if cell == "+":
-                values.append(True)
-            elif cell in ("-", "0", "−"):
-                values.append(False)
-            else:
+            if cells[i] not in _CELL_VALUES:
                 raise InputError(
-                    f"row {lineno}, feature {raw_names[i]!r}: bad value {cell!r} "
+                    f"row {lineno}, feature {raw_names[i]!r}: bad value {cells[i]!r} "
                     '(expected "+", "-" or "0")'
                 )
-        parsed.append((grapheme, tuple(values)))
+        parsed.append((grapheme, tuple(_CELL_VALUES[cells[i]] for i in keep)))
 
     return Inventory(names, parsed, str(source) if isinstance(source, (str, Path)) else "inventory")

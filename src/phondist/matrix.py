@@ -104,14 +104,17 @@ def load_reference_matrix(source: str | Path | TextIO) -> DistanceMatrix:
     for i, (lineno, label, cells) in enumerate(rows):
         if label != names[i]:
             raise InputError(f"row {lineno} is labelled {label!r}, expected {names[i]!r}")
-        entries = [c for c in cells if c]
-        if len(entries) not in (i + 1, n):  # lower triangle incl. diagonal, or full
+        while cells and not cells[-1]:  # a row may end in tabs, as lower-triangle rows often do
+            cells.pop()
+        if len(cells) not in (i + 1, n):  # lower triangle incl. diagonal, or full
             raise InputError(
-                f"row {label!r} has {len(entries)} entries, expected {i + 1} or {n}"
+                f"row {label!r} has {len(cells)} entries, expected {i + 1} or {n}"
             )
-        full = full or len(entries) > i + 1
+        if "" in cells:
+            raise InputError(f"row {label!r}: the entry for {names[cells.index('')]!r} is empty")
+        full = full or len(cells) > i + 1
         try:
-            values[i, : len(entries)] = [float(c) for c in entries]
+            values[i, : len(cells)] = [float(c) for c in cells]
         except ValueError as exc:
             raise InputError(f"row {label!r}: {exc}") from None
 

@@ -9,7 +9,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, TextIO
+from typing import TYPE_CHECKING, Sequence, TextIO
 
 import numpy as np
 
@@ -61,10 +61,12 @@ class LinearModel:
 
     @property
     def predictor_names(self) -> tuple[str, ...]:
-        return tuple(
-            [f"bothPlus:{n}" for n in self.feature_names]
-            + [f"bothMinus:{n}" for n in self.feature_names]
-        )
+        return _predictor_names(self.feature_names)
+
+
+def _predictor_names(feature_names: Sequence[str]) -> tuple[str, ...]:
+    """The names coefficients are saved under, in their order: the bothPlus block, then bothMinus."""
+    return tuple(f"{block}:{n}" for block in ("bothPlus", "bothMinus") for n in feature_names)
 
 
 def encode_pairs(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
@@ -182,7 +184,7 @@ def load_model(source: str | Path | TextIO) -> LinearModel:
 
     coeff_map = payload["coefficients"]
     ordered = []
-    for predictor in [f"bothPlus:{n}" for n in names] + [f"bothMinus:{n}" for n in names]:
+    for predictor in _predictor_names(names):
         if predictor not in coeff_map:
             raise InputError(f"model file missing coefficient {predictor!r}")
         ordered.append(_num(coeff_map[predictor], f"coefficient {predictor!r}"))

@@ -135,18 +135,10 @@ def load_seed_matrix(source: str | Path | TextIO, inv: Inventory) -> SeedDataset
     rows = _read_score_rows(source)
     if not rows:
         raise InputError("seed matrix is empty")
-    sums: dict[PairKey, float] = {}
-    counts: dict[PairKey, int] = {}
-    first_seen: dict[PairKey, tuple[str, str]] = {}
+    groups: dict[PairKey, tuple[PairKey, list[float]]] = {}  # the pair as first written, its scores
     for seg_a, seg_b, score in rows:
-        key = pair_key(seg_a, seg_b)
-        sums[key] = sums.get(key, 0.0) + score
-        counts[key] = counts.get(key, 0) + 1
-        first_seen.setdefault(key, (seg_a, seg_b))
-    records = [
-        SimilarityRecord(*first_seen[key], sums[key] / counts[key], "seed")
-        for key in sums
-    ]
+        groups.setdefault(pair_key(seg_a, seg_b), ((seg_a, seg_b), []))[1].append(score)
+    records = [SimilarityRecord(*pair, _mean(scores), "seed") for pair, scores in groups.values()]
     return SeedDataset(records, inv)
 
 
@@ -169,10 +161,14 @@ def class_mean_distance(ds: SeedDataset, pairs: Sequence[PairKey]) -> float:
     """Arithmetic mean of the scores recorded for the given pairs."""
     if not pairs:
         raise InputError("empty pair list for class mean")
+    return _mean([ds.score(a, b) for a, b in pairs])
+
+
+def _mean(values: Sequence[float]) -> float:
     total = 0.0
-    for a, b in pairs:  # left to right: float sum() is compensated from Python 3.12 on
-        total += ds.score(a, b)
-    return total / len(pairs)
+    for value in values:  # left to right: float sum() is compensated from Python 3.12 on
+        total += value
+    return total / len(values)
 
 
 def derive_deltas(ds: SeedDataset, bundles: DeltaBundles) -> DeltaSet:
@@ -234,23 +230,21 @@ def augment_with_deltas(
 
 def apply_adjustments(ds: SeedDataset, source: str | Path | TextIO) -> SeedDataset:
     """Apply manual overrides; adjustment records win over any earlier record."""
-    rows = _read_score_rows(source)
-    merged = {rec.key: rec for rec in ds.records}
-    seen: dict[PairKey, float] = {}
-    for seg_a, seg_b, score in rows:
+    adjusted: dict[PairKey, SimilarityRecord] = {}
+    for seg_a, seg_b, score in _read_score_rows(source):
         if not 0.0 <= score <= 1.0:
             raise InputError(
                 f"adjustment ({seg_a}, {seg_b}) has score {score}, outside [0, 1]"
             )
         key = pair_key(seg_a, seg_b)
-        if key in seen and seen[key] != score:
+        if key in adjusted and adjusted[key].score != score:
             raise InputError(
                 f"conflicting adjustments for pair ({seg_a}, {seg_b}): "
-                f"{seen[key]} vs {score}"
+                f"{adjusted[key].score} vs {score}"
             )
-        seen[key] = score
-        merged[key] = SimilarityRecord(seg_a, seg_b, score, "adjustment")
-    return SeedDataset(merged.values(), ds.inventory)
+        adjusted[key] = SimilarityRecord(seg_a, seg_b, score, "adjustment")
+    # A pair already recorded keeps its place (its row of the design); new pairs follow in file order.
+    return SeedDataset([*ds.records, *adjusted.values()], ds.inventory)
 
 
 def load_delta_bundles(source: str | Path | TextIO) -> DeltaBundles:

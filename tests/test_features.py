@@ -32,8 +32,9 @@ class TestLoadFeatureTable:
         assert inv.get_segment("p").features == (True, False, False)
         assert inv.get_segment("s").features == (True, True, True)
 
-    def test_zero_cell_is_false(self):
-        table = "segment\tclick\np\t0\n"
+    @pytest.mark.parametrize("cell", ["0", "-", "−"])  # the last is U+2212 MINUS SIGN
+    def test_zero_cell_is_false(self, cell):
+        table = f"segment\tclick\np\t{cell}\n"
         inv = pd.load_feature_table(io.StringIO(table))
         assert inv.get_segment("p").features == (False,)
 
@@ -83,6 +84,14 @@ class TestLoadFeatureTable:
     def test_constant_feature_width(self, demo_inventory):
         widths = {len(demo_inventory.get_segment(g).features) for g in demo_inventory.graphemes}
         assert widths == {len(demo_inventory.feature_names)}
+
+    @pytest.mark.parametrize("rows", [
+        [("p", (True,)), ("q", (True, False))],
+        [("q", (True, False)), ("p", (True, False, True))],
+    ])
+    def test_row_of_wrong_width_errors(self, rows):
+        with pytest.raises(InputError, match="segment 'p': expected 2 feature values, got [13]"):
+            pd.Inventory(("a", "b"), rows)
 
 
 class TestGetSegment:

@@ -138,10 +138,18 @@ class TestLoadReferenceMatrix:
         ("segment\ta\tb\na\t0.0\nb\tx\t0.0\n", "row 'b': could not convert"),
         ("segment\ta\tb\na\t0.0\t0.1\t0.2\nb\t0.1\t0.0\n", "row 'a' has 3 entries, expected 1 or 2"),
         ("segment\ta\ti\tu\na\t0\t0\t0\ni\t0.3\t0\t0\nu\t0.5\t0.7\t0\n", "asymmetric"),
+        # An empty cell inside a row, not at its end: the cells after it must not move left.
+        ("segment\ta\tb\tc\td\na\t0\nb\t0.3\t0\nc\t\t0.3\t0\t0\nd\t0.5\t0.2\t0.4\t0\n",
+         "row 'c': the entry for 'a' is empty"),
     ])
     def test_malformed_row_rejected(self, text, match):
         with pytest.raises(InputError, match=match):
             pd.load_reference_matrix(io.StringIO(text))
+
+    def test_lower_triangle_rows_may_end_in_tabs(self):
+        text = "segment\ta\tb\tc\na\t0\t\t\nb\t0.3\t0\t\nc\t0.5\t0.2\t0\t\n"
+        dm = pd.load_reference_matrix(io.StringIO(text))
+        assert [dm.get("b", "a"), dm.get("a", "c"), dm.get("c", "b"), dm.get("c", "c")] == [0.3, 0.5, 0.2, 0.0]
 
     def test_missing_grapheme_lookup_errors(self, fixture_matrix):
         with pytest.raises(UnknownSegmentError):
