@@ -54,15 +54,17 @@ DEFAULT_GAP = -5.0
 
 Column = tuple[str | None, str | None]  # (left token, right token), None = gap
 
-# Traceback moves, one byte per DP cell. _STOP ends a local alignment (the
-# cell was floored) and marks the origin of a global one.
-_STOP, _DIAG, _UP, _LEFT = 0, 1, 2, 3
+# Traceback moves, one byte per DP cell. _DIAG and _UP are 0 and 1, so that
+# `_wavefront` writes its first pick as a boolean straight into the table.
+# _STOP ends a local alignment (the cell was floored) and marks the origin of a
+# global one; `_align` writes it in cell (0, 0) and a local table's boundary.
+_DIAG, _UP, _LEFT, _STOP = 0, 1, 2, 3
 
 # Pairs per cognancy chunk: its working arrays hold a few (longest word + 1) x _PAIR_CHUNK numbers.
 _PAIR_CHUNK = 2048
 
-# Mean diagonal n·m / (n + m) from which _align fills by anti-diagonals, each a dozen numpy calls at any length.
-_WAVEFRONT_DIAGONAL = 80
+# Mean diagonal n·m / (n + m) from which _align fills by anti-diagonals, each about ten numpy calls at any length.
+_WAVEFRONT_DIAGONAL = 64
 
 
 @dataclass(frozen=True)
@@ -172,9 +174,11 @@ def _align(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> Align
     (`side`), has a fill write the interior, and traces back from its end cell."""
     n, m = len(li), len(ri)
     width = m + 1
-    moves = bytearray(width * (n + 1))  # _STOP everywhere
+    moves = bytearray(width * (n + 1))  # the fills write every interior cell
+    moves[0] = _STOP
     if local:
         top, side = [0.0] * width, [0.0] * (n + 1)
+        moves[1:width], moves[width::width] = [_STOP] * m, [_STOP] * n
     else:  # the gaps added up left to right, as the fills add them
         top = list(accumulate((s._gaps[k] for k in ri), initial=0.0))
         side = list(accumulate((s._gaps[k] for k in li), initial=0.0))
@@ -241,20 +245,26 @@ def _wavefront(s: ScoringScheme, li: list[int], ri: list[int], local: bool,
     Diagonal buffers are indexed by i, so cell (i, d-i) reads cell i-1 of the
     two previous diagonals (diagonal and up moves) and cell i of the last one
     (left move). Each diagonal is a few numpy calls on slices of buffers
-    allocated once. Moves come from strict `>` masks in the tie order, scores
-    from `np.maximum` under the exactness premise (module docstring).
+    allocated once: besides the move table, O(n+m) scores and one K×m table of
+    the right word's similarities, K the number of matrix segments (about
+    0.5 MB for a 1,000-segment word and 63 segments). Moves come from strict
+    `>` masks in the tie order, scores from `np.maximum` under the exactness
+    premise (module docstring).
     """
     n, m = len(li), len(ri)
-    lidx = np.array(li, dtype=np.intp)
-    rrev = np.array(ri[::-1], dtype=np.intp)  # cell (i, d-i) reads ri[d-i-1] = rrev[m-d+i]
-    gl, grrev = s._gap_array[lidx], s._gap_array[rrev]
-    lrow = lidx * len(s._gaps)  # row offsets into the flat similarity table
-    sim = s._sim_array.ravel()
+    lidx, ridx = np.array(li, dtype=np.intp), np.array(ri, dtype=np.intp)
+    gl, grrev = s._gap_array[lidx], s._gap_array[ridx[::-1]]  # cell (i, d-i) reads ri[d-i-1], at m-d+i in grrev
+    # sims[n+1 + k·m + j] = sim(k, ri[j]), so cell (i, d-i) reads sims[d + base[i-1]];
+    # the n+1 leading pads keep base non-negative. "clip" on both takes skips a
+    # buffered copy of `out`; every index is in range.
+    sims = np.zeros(n + 1 + len(s._gaps) * m)
+    s._sim_array.take(ridx, axis=1, out=sims[n + 1:].reshape(len(s._gaps), m), mode="clip")
+    base = lidx * m + np.arange(n - 1, -1, -1)
     table = np.frombuffer(moves, dtype=np.uint8)
     # Diagonals d-2, d-1 and d. Cells 0 and d of diagonal d are the boundary
     # row and column, copied from top and side.
     older, last, cur = np.zeros((3, n + 1))
-    at, cand, pick = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n, dtype=bool)
+    cand, pick = np.empty(n), np.empty(n, dtype=bool)
     best_score, best_cell = 0.0, (0, 0)
     with np.errstate(all="ignore"):  # Python floats overflow to inf without a warning
         for d in range(n + m + 1):
@@ -267,13 +277,11 @@ def _wavefront(s: ScoringScheme, li: list[int], ri: list[int], local: bool,
                 k, r = hi - lo + 1, m - d
                 h, c, p = cur[lo:hi + 1], cand[:k], pick[:k]
                 mv = table[d + lo * m:d + hi * m + 1:m]  # cells (lo, d-lo) .. (hi, d-hi)
-                np.add(lrow[lo - 1:hi], rrev[r + lo:r + hi + 1], out=at[:k])
-                sim.take(at[:k], out=c, mode="clip")  # indices are in range; "clip" skips a buffered copy
+                sims[d:].take(base[lo - 1:hi], out=c, mode="clip")
                 np.add(older[lo - 1:hi], c, out=h)
                 np.add(last[lo - 1:hi], gl[lo - 1:hi], out=c)
-                np.greater(c, h, out=p)
+                np.greater(c, h, out=mv.view(np.bool_))  # _DIAG, or _UP where up beat it
                 np.maximum(h, c, out=h)
-                np.add(p.view(np.uint8), _DIAG, out=mv)  # _DIAG, or _DIAG + 1 = _UP where up beat it
                 np.add(last[lo:hi + 1], grrev[r + lo:r + hi + 1], out=c)
                 np.greater(c, h, out=p)
                 np.maximum(h, c, out=h)

@@ -62,6 +62,8 @@ class Inventory:
 
         segments: dict[str, Segment] = {}
         for grapheme, values in rows:
+            if not grapheme:
+                raise InputError("empty segment name")
             if grapheme in segments:
                 raise InputError(f"duplicate segment row for {grapheme!r}")
             features = tuple(values)
@@ -125,8 +127,9 @@ class GraphemeIndex(dict):
 
 
 def _longest_first(graphemes: Collection[str]) -> list[int]:
-    # The first length that matches is the longest match.
-    return sorted({len(g) for g in graphemes}, reverse=True)
+    # The first length that matches is the longest match; an empty grapheme
+    # would match everywhere and never advance.
+    return sorted({len(g) for g in graphemes} - {0}, reverse=True)
 
 
 def tokenize(word: str, graphemes: Collection[str]) -> list[str]:

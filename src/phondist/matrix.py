@@ -31,6 +31,8 @@ class DistanceMatrix:
             raise InputError(f"matrix shape {values.shape} does not match {n} segments")
         if len(set(self.segments)) != n:
             raise InputError("duplicate graphemes in matrix header")
+        if "" in self.segments:
+            raise InputError("empty segment name in matrix header")
         if not np.all(np.isfinite(values)):
             raise InputError("matrix contains non-finite entries")
         if np.any(values < 0.0) or np.any(values > 1.0):

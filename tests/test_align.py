@@ -321,7 +321,7 @@ class TestKernelDispatch:
     """Pairs whose diagonals average align._WAVEFRONT_DIAGONAL cells or more are filled by anti-diagonals."""
 
     @pytest.mark.parametrize("gap_mode", ["constant", "null_column"])
-    @pytest.mark.parametrize("n,m", [(161, 159), (160, 160)])
+    @pytest.mark.parametrize("n,m", [(129, 127), (128, 128)])
     def test_pairs_at_the_threshold_agree_across_kernels(self, demo_matrix, n, m, gap_mode, monkeypatch):
         assert n * m - align._WAVEFRONT_DIAGONAL * (n + m) in (-1, 0)  # just below it, and at it
         s = ScoringScheme(matrix=demo_matrix, gap_mode=gap_mode)
@@ -389,12 +389,31 @@ class TestKernelDispatch:
 
         monkeypatch.setattr(align, "_rows", spy)
         s = ScoringScheme(matrix=demo_matrix)
-        # 2,000 x 20 has more cells than 160 x 160, but diagonals of only 20
-        for n, m in [(161, 159), (160, 160), (300, 300), (2000, 20)]:
+        # 2,000 x 20 has more cells than 128 x 128, but diagonals of only 20
+        for n, m in [(129, 127), (128, 128), (300, 300), (2000, 20)]:
             left, right = tie_prone_pair(demo_matrix, n, m, seed=n)
             pd.global_align(s, left, right)
             pd.local_align(s, left, right)
-        assert sizes == [(161, 159), (161, 159), (2000, 20), (2000, 20)]
+        assert sizes == [(129, 127), (129, 127), (2000, 20), (2000, 20)]
+
+
+@pytest.mark.parametrize("aligner", [pd.global_align, pd.local_align])
+def test_anti_diagonal_fill_memory_is_the_move_table_and_linear_buffers(fixture_matrix, aligner, monkeypatch):
+    """Besides the (n+1)(m+1)-byte move table, the anti-diagonal fill holds O(n+m)
+    scores and one K×m table of the right word's similarities, K the number of
+    matrix segments; a per-cell float table (8·n·m bytes) would not fit the bound."""
+    n = m = 300
+    s = ScoringScheme(matrix=fixture_matrix)
+    rng = random.Random(n)
+    left, right = (rng.choices(fixture_matrix.segments, k=k) for k in (n, m))
+    monkeypatch.setattr(align, "_WAVEFRONT_DIAGONAL", 0)
+    tracemalloc.start()
+    try:
+        aligner(s, left, right)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (n + 1) * (m + 1) + 8 * (len(fixture_matrix) * m + 4 * (n + 1)) + 64 * 2**10
 
 
 class TestMonotonicity:

@@ -93,6 +93,10 @@ class TestLoadFeatureTable:
         with pytest.raises(InputError, match="segment 'p': expected 2 feature values, got [13]"):
             pd.Inventory(("a", "b"), rows)
 
+    def test_empty_segment_name_errors(self):
+        with pytest.raises(InputError, match="empty segment name"):
+            pd.Inventory(("f",), [("", (True,)), ("a", (False,))])
+
 
 class TestGetSegment:
     def test_lookup(self):
@@ -127,6 +131,10 @@ class TestParseIpa:
         with pytest.raises(TokenizeError) as exc:
             tokenize("pq", set(inv.graphemes))
         assert exc.value.offset == 1
+
+    def test_an_empty_grapheme_is_never_tried(self):
+        # it would match at every offset without advancing, so tokenize would never return
+        assert pd.features._longest_first({"", "a"}) == [1]
 
     def test_empty_word_errors(self):
         with pytest.raises(InputError):

@@ -56,6 +56,11 @@ class TestDistanceMatrixInvariants:
         with pytest.raises(InputError, match="duplicate"):
             DistanceMatrix(["a", "a"], values)
 
+    def test_rejects_empty_grapheme(self):
+        values = np.array([[0.0, 0.5], [0.5, 0.0]])
+        with pytest.raises(InputError, match="empty segment name"):
+            DistanceMatrix(["", "a"], values)
+
 
 class TestBuildMatrix:
     def test_dimensions_without_and_with_null(self, demo_model, demo_inventory):
