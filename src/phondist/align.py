@@ -37,7 +37,7 @@ A table that could hold NaN or -0.0 needs the masked picks
 import io
 import math
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
@@ -163,8 +163,8 @@ def _indices(s: ScoringScheme, word: "str | Sequence[str]") -> list[int]:
     Empty input maps to no tokens, which the aligners accept (it forces an
     all-gap alignment).
     """
-    if isinstance(word, str):
-        word = tokenize(word, s.matrix._index) if word.strip() else []
+    if isinstance(word, str):  # every token is in the index
+        return list(map(s.matrix._index.__getitem__, tokenize(word, s.matrix._index))) if word.strip() else []
     return [s.matrix.index(t) for t in word]
 
 
@@ -330,8 +330,7 @@ def cognancy_matrix(
         return CognancyMatrix(words, scores)
     lengths = np.array([len(t) for t in tokens])
     padded = np.zeros((n, lengths.max()), dtype=np.intp)  # index 0 pads: any finite entry will do
-    for k, t in enumerate(tokens):
-        padded[k, : len(t)] = t
+    padded[np.arange(padded.shape[1]) < lengths[:, None]] = list(chain.from_iterable(tokens))  # row-major
     # Python floats overflow to inf without a warning; so must the batch.
     with np.errstate(all="ignore"):
         for left, right in _pair_chunks(lengths, _PAIR_CHUNK):
@@ -344,23 +343,22 @@ def _pair_chunks(lengths: np.ndarray, size: int) -> Iterator[tuple[np.ndarray, n
     """Every pair i < j of a word list with these lengths, once, as (left, right)
     index arrays of at most `size` pairs; left holds i, the lower index.
 
-    Pairs come grouped by (lengths[i], lengths[j]) in ascending order, so the
-    words of a chunk have nearly equal lengths; a chunk may span groups. A group
-    is enumerated a block of left words at a time, never whole, so at most
-    2·size + len(lengths) indices are held at once.
+    Pairs come sorted by (lengths[i], lengths[j]): left lengths never decrease,
+    as `_batch_scores` requires, and a chunk's words have nearly equal lengths;
+    a chunk may span lengths. Each left length meets the right words a block at
+    a time, so at most 2·size + len(lengths) indices are held at once.
     """
-    # not np.unique, which imports numpy.ma on numpy 2.x
-    groups = [np.flatnonzero(lengths == k) for k in sorted(set(lengths.tolist()))]  # ascending indices
+    order = np.argsort(lengths, kind="stable")  # by length, then index; not np.unique, which imports numpy.ma
     left = right = np.empty(0, dtype=np.intp)
-    for ia in groups:
-        for ib in groups:
-            step = max(1, size // len(ib))
-            for r in range(0, len(ia), step):
-                rows, cols = np.nonzero(ia[r:r + step, None] < ib)
-                left, right = np.concatenate((left, ia[r + rows])), np.concatenate((right, ib[cols]))
-                while len(left) >= size:
-                    yield left[:size], right[:size]
-                    left, right = left[size:], right[size:]
+    for k in sorted(set(lengths.tolist())):
+        ia = np.flatnonzero(lengths == k)
+        step = max(1, size // len(ia))
+        for c in range(0, len(order), step):
+            cols, rows = np.nonzero(ia < order[c:c + step, None])  # by right word, then left
+            left, right = np.concatenate((left, ia[rows])), np.concatenate((right, order[c + cols]))
+            while len(left) >= size:
+                yield left[:size], right[:size]
+                left, right = left[size:], right[size:]
     if len(left):
         yield left, right
 
@@ -368,6 +366,8 @@ def _pair_chunks(lengths: np.ndarray, size: int) -> Iterator[tuple[np.ndarray, n
 def _batch_scores(sim, gaps, padded, lengths, left, right, local: bool) -> np.ndarray:
     """_align's scores for the pairs (left[k], right[k]), one array element per pair.
 
+    Left lengths must not decrease along the pairs (`_pair_chunks` order), so the
+    pairs that end at a row are one slice and those still running a suffix.
     Arrays are laid out (DP column, pair). A pair's words are padded past
     their lengths; no cell it reads lies in the padding, since cell (i, j)
     reads only cells above and to its left. Each DP cell is computed into
@@ -377,7 +377,7 @@ def _batch_scores(sim, gaps, padded, lengths, left, right, local: bool) -> np.nd
     """
     nl, ml = lengths[left], lengths[right]
     n, m, p = nl.max(), ml.max(), len(left)
-    pairs = np.arange(p)
+    done = np.searchsorted(nl, np.arange(n + 1), side="right").tolist()  # pairs [0, done[i]) end by row i
     lw, rw = (np.ascontiguousarray(padded[words, :k].T) for words, k in ((left, n), (right, m)))
     lrow = lw * sim.shape[1]  # row offsets into the flat similarity table
     gl, gr = gaps[lw], gaps[rw]
@@ -390,7 +390,8 @@ def _batch_scores(sim, gaps, padded, lengths, left, right, local: bool) -> np.nd
     else:
         for j in range(m):  # left-to-right additions, as accumulate() makes them
             np.add(prev[j], gr[j], out=prev[j + 1])
-        score = prev[ml, pairs]  # read now for pairs with an empty left word
+        ends = ml * p + np.arange(p)  # each pair's end cell in a flattened row buffer
+        score = prev.take(ends)  # read now for pairs with an empty left word
     for i in range(n):
         cand = row[1:]
         np.add(rw, lrow[i], out=at)
@@ -408,10 +409,12 @@ def _batch_scores(sim, gaps, padded, lengths, left, right, local: bool) -> np.nd
         if local:
             if outside is not None:
                 np.copyto(row, 0.0, where=outside)  # later rows never read past m_k
-            row.max(axis=0, out=top)
-            np.maximum(score, top, out=score, where=i < nl)
+            run = slice(done[i], p)  # the pairs whose left word is longer than i
+            row[:, run].max(axis=0, out=top[run])
+            np.maximum(score[run], top[run], out=score[run])
         else:
-            np.copyto(score, row[ml, pairs], where=nl == i + 1)
+            end = slice(done[i], done[i + 1])  # the pairs whose left word ends at row i + 1
+            row.take(ends[end], out=score[end], mode="clip")
         prev, row = row, prev
     return score
 

@@ -191,7 +191,8 @@ def _matrix(args):
 
 
 def cmd_distance(args) -> None:
-    print(f"{_matrix(args).get(args.seg_a, args.seg_b):.2f}")
+    # NFC, as the matrix reader spells its header
+    print(f"{_matrix(args).get(textio.nfc(args.seg_a), textio.nfc(args.seg_b)):.2f}")
 
 
 def _scheme(args) -> ScoringScheme:

@@ -5,8 +5,10 @@ segment "∅" stands for the absence of sound and is in every Inventory, so
 scoring can price sound creation and deletion.
 """
 
+import re
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import TextIO
 
@@ -118,45 +120,40 @@ def fingerprint_features(names: Sequence[str]) -> str:
 
 
 class GraphemeIndex(dict):
-    """A grapheme → index map that keeps its distinct grapheme lengths, longest
-    first, so that tokenizing a list against it sorts them once, not per word."""
+    """A grapheme → index map that compiles its tokenizing pattern once, on first
+    use, so that tokenizing a list against it builds the pattern once, not per word."""
 
-    def __init__(self, index: dict[str, int]):
-        super().__init__(index)
-        self.lengths = _longest_first(self)
+    @cached_property
+    def pattern(self) -> re.Pattern:
+        return _pattern(frozenset(self))
 
 
-def _longest_first(graphemes: Collection[str]) -> list[int]:
-    # The first length that matches is the longest match; an empty grapheme
-    # would match everywhere and never advance.
-    return sorted({len(g) for g in graphemes} - {0}, reverse=True)
+@lru_cache(maxsize=16)
+def _pattern(graphemes: frozenset[str]) -> re.Pattern:
+    # Longest first, so the first alternative that matches is the longest match; an
+    # empty grapheme would match everywhere and never advance; "(?!)" never matches.
+    return re.compile("|".join(map(re.escape, sorted(graphemes - {""}, key=len, reverse=True))) or "(?!)")
 
 
 def tokenize(word: str, graphemes: Collection[str]) -> list[str]:
     """Greedy leftmost-longest segmentation of `word` over `graphemes`, after
     `textio.nfc`; no other normalization or diacritic composition is attempted.
 
-    `graphemes` is a set or mapping; it is probed as it is, and a
-    GraphemeIndex's lengths are read, not recomputed. Raises TokenizeError
-    (with the offending offset) when no grapheme matches at some position.
-    Deterministic for a fixed grapheme set.
+    `graphemes` is a set or mapping, matched as one compiled alternation, longest
+    first (a GraphemeIndex keeps its own; other collections share a small cache).
+    Raises TokenizeError (with the offending offset) when no grapheme matches
+    at some position. Deterministic for a fixed grapheme set.
     """
     word = textio.nfc(word)
     if not word:
         raise InputError("empty word")
-    lengths = graphemes.lengths if isinstance(graphemes, GraphemeIndex) else _longest_first(graphemes)
-    tokens: list[str] = []
-    pos = 0
-    n = len(word)
-    while pos < n:
-        for length in lengths:
-            candidate = word[pos : pos + length]
-            if len(candidate) == length and candidate in graphemes:
-                tokens.append(candidate)
-                pos += length
-                break
-        else:
-            raise TokenizeError(word, pos)
+    pattern = graphemes.pattern if isinstance(graphemes, GraphemeIndex) else _pattern(frozenset(graphemes))
+    tokens = pattern.findall(word)
+    if sum(map(len, tokens)) < len(word):  # findall skipped what no grapheme matches
+        pos = 0
+        while match := pattern.match(word, pos):
+            pos = match.end()
+        raise TokenizeError(word, pos)
     return tokens
 
 

@@ -7,7 +7,8 @@ shares no code with the implementation under test, except where noted:
   of all substring pairs (local),
 - least squares / ridge through the explicit normal equations,
 - symmetric eigendecomposition by cyclic Jacobi rotations,
-- tokenization by exhaustive segmentation search,
+- tokenization by exhaustive segmentation search, and by the greedy
+  length-by-length loop the package used before its compiled pattern,
 - global and local alignment by the full-table loops the package used before
   its single rolling-row kernel. They share with the package only the
   scoring helpers `similarity` and `gap_score` and, through `tokens_for`,
@@ -16,12 +17,13 @@ shares no code with the implementation under test, except where noted:
 """
 
 import math
+import unicodedata
 from typing import Sequence
 
 import numpy as np
 
 from phondist.align import Alignment, Column, ScoringScheme, gap_score, similarity
-from phondist.errors import UnknownSegmentError
+from phondist.errors import InputError, TokenizeError, UnknownSegmentError
 from phondist.features import tokenize
 
 
@@ -152,6 +154,26 @@ def leftmost_longest(segmentations):
     greatest, i.e. the one a greedy longest-match scan produces when it never
     dead-ends."""
     return max(segmentations, key=lambda seg: [len(t) for t in seg])
+
+
+def greedy_tokenize(word, graphemes):
+    """The tokenizer as the package wrote it before it compiled one pattern per
+    grapheme set: after NFC, at each offset the longest grapheme that matches,
+    tried length by length, and TokenizeError at the first offset where none
+    does. An empty grapheme is never tried."""
+    word = unicodedata.normalize("NFC", word.strip())
+    if not word:
+        raise InputError("empty word")
+    lengths = sorted({len(g) for g in graphemes} - {0}, reverse=True)
+    tokens, pos = [], 0
+    while pos < len(word):
+        token = next((word[pos:pos + k] for k in lengths
+                      if len(word[pos:pos + k]) == k and word[pos:pos + k] in graphemes), None)
+        if token is None:
+            raise TokenizeError(word, pos)
+        tokens.append(token)
+        pos += len(token)
+    return tokens
 
 
 def tokens_for(s: ScoringScheme, word: "str | Sequence[str]") -> list[str]:

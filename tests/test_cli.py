@@ -223,6 +223,12 @@ class TestDistance:
         assert run("distance", "--matrix", DATA["fixture"], "m", "n") == 0
         assert capsys.readouterr().out.strip() == "0.12"
 
+    def test_decomposed_arguments_find_the_nfc_header(self, tmp_path, capsys):
+        matrix = tmp_path / "m.tsv"
+        matrix.write_text("segment\t\u00e9\ta\n\u00e9\t0\na\t0.5\t0\n", encoding="utf-8")  # NFC é
+        assert run("distance", "--matrix", str(matrix), "e\u0301", "a") == 0
+        assert capsys.readouterr().out == "0.50\n"
+
     def test_unknown_segment_exit_2(self, capsys):
         assert run("distance", "--matrix", DATA["fixture"], "q", "x") == 2
         assert "q" in capsys.readouterr().err

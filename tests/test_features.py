@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import phondist as pd
 from phondist.errors import InputError, TokenizeError, UnknownSegmentError
-from phondist.features import fingerprint_features, tokenize
+from phondist.features import GraphemeIndex, fingerprint_features, tokenize
 
-from oracles import all_segmentations, leftmost_longest
+from oracles import all_segmentations, greedy_tokenize, leftmost_longest
 
 SMALL_TABLE = """\
 segment\tconsonantal\tcontinuant\tstrident
@@ -134,7 +134,11 @@ class TestParseIpa:
 
     def test_an_empty_grapheme_is_never_tried(self):
         # it would match at every offset without advancing, so tokenize would never return
-        assert pd.features._longest_first({"", "a"}) == [1]
+        for graphemes in ({"", "a"}, GraphemeIndex({"": 0, "a": 1})):
+            assert tokenize("aa", graphemes) == ["a", "a"]
+            with pytest.raises(TokenizeError) as exc:
+                tokenize("ab", graphemes)
+            assert exc.value.offset == 1
 
     def test_empty_word_errors(self):
         with pytest.raises(InputError):
@@ -179,6 +183,38 @@ class TestGreedyMatchesOracle:
             expected = leftmost_longest(segmentations)
             got = tuple(tokenize(word, graphemes))
             assert got == expected, word
+
+
+def _outcome(tokenize_fn, word, graphemes):
+    """The tokens, or the kind of error and, for TokenizeError, its offset."""
+    try:
+        return tokenize_fn(word, graphemes)
+    except TokenizeError as exc:
+        return ("TokenizeError", exc.offset)
+    except InputError as exc:
+        return (type(exc).__name__,)
+
+
+class TestCompiledPatternMatchesGreedyLoop:
+    # regex metacharacters, graphemes that are prefixes of others, multi-code-point
+    # graphemes (a tie bar, a length mark, a decomposed accent) and the empty grapheme
+    POOL = [".", "*", "+", "?", "(", "[", "\\", "|", "^", "$", ")", "{", ".*", "a|b", "\\d", "(?",
+            "a", "ab", "abc", "b", "t", "t\u0361", "t\u0361s", "a\u02d0", "\u02d0", "\u00e9", "e\u0301", " ", ""]
+    CHARS = "ab.*+?([\\|^$)tse\u0301\u00e9\u0361\u02d0 #x"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_tokens_and_offsets(self, data):
+        graphemes = data.draw(st.sets(st.one_of(st.sampled_from(self.POOL), st.text(self.CHARS, max_size=3)),
+                                      max_size=12))
+        pieces = st.text(self.CHARS, max_size=2)
+        if graphemes:
+            pieces |= st.sampled_from(sorted(graphemes))
+        word = "".join(data.draw(st.lists(pieces, min_size=1, max_size=8)))
+        expected = _outcome(greedy_tokenize, word, graphemes)
+        index = GraphemeIndex({g: k for k, g in enumerate(sorted(graphemes))})
+        assert _outcome(tokenize, word, graphemes) == expected
+        assert _outcome(tokenize, word, index) == expected
 
 
 class TestRender:
