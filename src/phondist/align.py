@@ -10,15 +10,15 @@ right-word segment) on a strictly greater score. A local cell not above 0 is
 floored at 0.0, and a local alignment ends at the first best cell in
 row-major order.
 
-Kernels: `_align` fills a pair's table with `_rows` while
-n·m < _WAVEFRONT_DIAGONAL·(n + m), and with `_wavefront` from there on;
-`cognancy_matrix` scores chunks of up to _PAIR_CHUNK pairs with
-`_batch_scores`. Every kernel makes `_rows`' float additions in `_rows`'
-order, so the kernel chosen changes the speed, never a score or a move.
+Kernels: `_align` fills a pair's table one anti-diagonal at a time with
+`_wavefront`; `cognancy_matrix` scores chunks of up to _PAIR_CHUNK pairs with
+`_batch_scores`. Both add the gaps up left to right along a global table's
+row and column 0, and compute each move's candidate as one addition of an
+earlier cell and a table entry, so a pair scores the same bits in either kernel.
 
-Exactness premise: the vectorised kernels pick a cell's score with np.maximum
-and floor local cells with a max against 0.0, where `_rows` takes the first
-strictly greater move and floors when `not best > 0.0`. They agree bit for bit
+Exactness premise: the kernels pick a cell's score with np.maximum and floor
+local cells with a max against 0.0, where the tie order asks for the first
+strictly greater move and a floor when `not best > 0.0`. They agree bit for bit
 because of two invariants of the tables ScoringScheme builds:
 
 - No NaN. Matrix entries are finite and in [0, 1], center is in (0, 1], and
@@ -63,9 +63,6 @@ _DIAG, _UP, _LEFT, _STOP = 0, 1, 2, 3
 # Pairs per cognancy chunk: its working arrays hold a few (longest word + 1) x _PAIR_CHUNK numbers.
 _PAIR_CHUNK = 2048
 
-# Mean diagonal n·m / (n + m) from which _align fills by anti-diagonals, each about ten numpy calls at any length.
-_WAVEFRONT_DIAGONAL = 64
-
 
 @dataclass(frozen=True)
 class ScoringScheme:
@@ -88,14 +85,11 @@ class ScoringScheme:
             raise InputError(f"gap score must be finite, got {self.gap_constant}")
         # The kernels' tables, by matrix index: similarity rows and gap scores.
         sim = self.sigma * (self.center - self.matrix.values)
-        gaps = ([self.gap_constant] * len(self.matrix) if self.gap_mode == "constant"
-                else sim[:, self.matrix.index(NULL_GRAPHEME)].tolist())
-        object.__setattr__(self, "_sim", sim.tolist())
-        object.__setattr__(self, "_gaps", gaps)
-        gap_array = np.array(gaps)
-        sim.flags.writeable = gap_array.flags.writeable = False
+        gaps = (np.full(len(self.matrix), self.gap_constant, dtype=float) if self.gap_mode == "constant"
+                else sim[:, self.matrix.index(NULL_GRAPHEME)].copy())
+        sim.flags.writeable = gaps.flags.writeable = False
         object.__setattr__(self, "_sim_array", sim)
-        object.__setattr__(self, "_gap_array", gap_array)
+        object.__setattr__(self, "_gap_array", gaps)
 
 
 @dataclass(frozen=True)
@@ -171,21 +165,20 @@ def _indices(s: ScoringScheme, word: "str | Sequence[str]") -> list[int]:
 def _align(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> Alignment:
     """The dynamic program behind both aligners. It sets up the move table, with
     its boundary moves, and the boundary scores of row 0 (`top`) and column 0
-    (`side`), has a fill write the interior, and traces back from its end cell."""
+    (`side`), has `_wavefront` write the interior, and traces back from its end cell."""
     n, m = len(li), len(ri)
     width = m + 1
-    moves = bytearray(width * (n + 1))  # the fills write every interior cell
+    moves = bytearray(width * (n + 1))  # _wavefront writes every interior cell
     moves[0] = _STOP
     if local:
         top, side = [0.0] * width, [0.0] * (n + 1)
         moves[1:width], moves[width::width] = [_STOP] * m, [_STOP] * n
-    else:  # the gaps added up left to right, as the fills add them
-        top = list(accumulate((s._gaps[k] for k in ri), initial=0.0))
-        side = list(accumulate((s._gaps[k] for k in li), initial=0.0))
+    else:  # the gaps added up left to right, as _batch_scores adds them
+        top = list(accumulate(s._gap_array[ri].tolist(), initial=0.0))
+        side = list(accumulate(s._gap_array[li].tolist(), initial=0.0))
         moves[1:width] = [_LEFT] * m
         moves[width::width] = [_UP] * n
-    fill = _wavefront if n * m >= _WAVEFRONT_DIAGONAL * (n + m) else _rows
-    score, (i, j) = fill(s, li, ri, local, moves, top, side)
+    score, (i, j) = _wavefront(s, li, ri, local, moves, top, side)
     seg = s.matrix.segments
     columns: list[Column] = []
     while (which := moves[i * width + j]) != _STOP:
@@ -203,44 +196,10 @@ def _align(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> Align
     return Alignment(tuple(columns), score)
 
 
-def _rows(s: ScoringScheme, li: list[int], ri: list[int], local: bool,
-          moves: bytearray, top: list[float], side: list[float]) -> tuple[float, tuple[int, int]]:
-    """Fills _align's interior cells one row at a time; returns the score and end cell."""
-    width = len(top)
-    gr = [s._gaps[k] for k in ri]
-    prev = top
-    best_score, best_cell = 0.0, (0, 0)
-    for i, k in enumerate(li):
-        srow, g = s._sim[k], s._gaps[k]
-        lft = side[i + 1]
-        row = [lft]
-        move = []
-        for d0, u0, r, gj in zip(prev, prev[1:], ri, gr):
-            diag = d0 + srow[r]
-            up = u0 + g
-            lft += gj
-            best, which = diag, _DIAG
-            if up > best:
-                best, which = up, _UP
-            if lft > best:
-                best, which = lft, _LEFT
-            if local and not best > 0.0:
-                best, which = 0.0, _STOP
-            lft = best
-            row.append(best)
-            move.append(which)
-        moves[(i + 1) * width + 1:(i + 2) * width] = move
-        prev = row
-        if local and (peak := max(row)) > best_score:
-            best_score, best_cell = peak, (i + 1, row.index(peak))
-    if local:
-        return best_score, best_cell
-    return prev[-1], (len(li), len(ri))
-
-
 def _wavefront(s: ScoringScheme, li: list[int], ri: list[int], local: bool,
                moves: bytearray, top: list[float], side: list[float]) -> tuple[float, tuple[int, int]]:
-    """_rows' fill, one anti-diagonal d = i + j at a time (Wozniak 1997).
+    """Fills _align's interior cells one anti-diagonal d = i + j at a time (Wozniak
+    1997); returns the score and end cell.
 
     Diagonal buffers are indexed by i, so cell (i, d-i) reads cell i-1 of the
     two previous diagonals (diagonal and up moves) and cell i of the last one
@@ -257,8 +216,8 @@ def _wavefront(s: ScoringScheme, li: list[int], ri: list[int], local: bool,
     # sims[n+1 + k·m + j] = sim(k, ri[j]), so cell (i, d-i) reads sims[d + base[i-1]];
     # the n+1 leading pads keep base non-negative. "clip" on both takes skips a
     # buffered copy of `out`; every index is in range.
-    sims = np.zeros(n + 1 + len(s._gaps) * m)
-    s._sim_array.take(ridx, axis=1, out=sims[n + 1:].reshape(len(s._gaps), m), mode="clip")
+    sims = np.zeros(n + 1 + len(s._gap_array) * m)
+    s._sim_array.take(ridx, axis=1, out=sims[n + 1:].reshape(len(s._gap_array), m), mode="clip")
     base = lidx * m + np.arange(n - 1, -1, -1)
     table = np.frombuffer(moves, dtype=np.uint8)
     # Diagonals d-2, d-1 and d. Cells 0 and d of diagonal d are the boundary

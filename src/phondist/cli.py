@@ -241,7 +241,7 @@ def cmd_pca(args) -> None:
 
 def main(argv: "list[str] | None" = None) -> int:
     """Run one subcommand and return its exit code: 0 on success or once stdout's reader
-    has gone, 2 for a usage or input error, 1 for a numerical failure."""
+    has gone, 2 for a usage or input error, 1 for a numerical failure or lack of memory."""
     args, unknown = build_parser().parse_known_args(argv)
     try:
         if unknown:
@@ -259,6 +259,9 @@ def main(argv: "list[str] | None" = None) -> int:
         return 2
     except NumericalError as exc:
         print(f"phondist {args.command}: numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # an input too large for this process, e.g. under `ulimit -v`
+        print(f"phondist {args.command}: error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -85,7 +85,7 @@ class Inventory:
                 system_fingerprint=self.fingerprint,
             )
         self._segments = segments
-        self._rows = {g: i for i, g in enumerate(segments)}
+        self._row_of = {g: i for i, g in enumerate(segments)}
         self._features = np.array([s.features for s in segments.values()], dtype=bool)
 
     @property
@@ -109,7 +109,7 @@ class Inventory:
     def feature_rows(self, graphemes: Iterable[str]) -> np.ndarray:
         """Boolean (k, F) array of the segments' feature values, one row per grapheme."""
         try:
-            return self._features[[self._rows[g] for g in graphemes]]
+            return self._features[[self._row_of[g] for g in graphemes]]
         except KeyError as exc:
             raise UnknownSegmentError(exc.args[0], self.source) from None
 

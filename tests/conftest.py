@@ -1,12 +1,11 @@
 import io
-import math
 import random
 
 import numpy as np
 import pytest
 
 import phondist as pd
-from phondist import align, bundled_path
+from phondist import bundled_path
 from phondist.model import encode_pairs
 from phondist.seed import SeedDataset, SimilarityRecord
 
@@ -178,15 +177,3 @@ def demo_matrix(demo_model, demo_inventory):
 @pytest.fixture(scope="session")
 def fixture_matrix():
     return pd.load_reference_matrix(bundled_path("paper_table.tsv"))
-
-
-# ---------------------------------------------------------------------------
-# The alignment DP fills its table row by row, or one anti-diagonal at a time
-# for pairs whose diagonals average align._WAVEFRONT_DIAGONAL cells or more.
-
-
-@pytest.fixture(params=["rows", "wavefront"])
-def kernel(request, monkeypatch):
-    """Send every pair, whatever its size, through one of the two fills."""
-    monkeypatch.setattr(align, "_WAVEFRONT_DIAGONAL", math.inf if request.param == "rows" else 0)
-    return request.param

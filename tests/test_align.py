@@ -29,6 +29,7 @@ from phondist.cli import main
 from phondist.errors import InputError, UnknownSegmentError
 from phondist.matrix import DistanceMatrix, export_matrix_tsv
 
+import oracles
 from oracles import enumerate_global_score, enumerate_local_score, tokens_for
 
 TEST1_WORDS = ["woldemort", "waldemar", "wladimir", "vladymir"]
@@ -258,22 +259,6 @@ class TestLocalAlign:
         assert rights in "akim"
 
 
-class TestEnumerationPerKernel:
-    """The enumeration checks above, with every pair sent through one DP fill."""
-
-    def test_global_small(self, scheme, kernel):
-        TestGlobalAlign().test_matches_enumeration_oracle_small(scheme)
-
-    def test_global_longer_words(self, scheme, kernel):
-        TestGlobalAlign().test_score_equals_terminal_cell_on_longer_words(scheme)
-
-    def test_local_small(self, scheme, kernel):
-        TestLocalAlign().test_matches_enumeration_oracle_small(scheme)
-
-    def test_local_longer_words(self, scheme, kernel):
-        TestLocalAlign().test_matches_oracle_on_longer_words(scheme)
-
-
 def tie_prone_pair(matrix, n, m, seed):
     """Words of n and m segments over three segments, so that many DP cells tie."""
     rng = random.Random(seed)
@@ -281,10 +266,10 @@ def tie_prone_pair(matrix, n, m, seed):
     return rng.choices(alphabet, k=n), rng.choices(alphabet, k=m)
 
 
-# The vectorised kernels take np.maximum where _rows takes the first strict `>`;
-# that is exact only while no cell is NaN or -0.0 (see the align module).
-# Signed-zero and subnormal tables make ties everywhere, and a gap of
-# +-1.7e308 overflows cells to +-inf.
+# The kernels take np.maximum where the tie order, and the oracles, take the
+# first strictly greater move; that is exact only while no cell is NaN or -0.0
+# (see the align module). Signed-zero and subnormal tables make ties
+# everywhere, and a gap of +-1.7e308 overflows cells to +-inf.
 HARD_SCHEMES = [
     {"gap_constant": -0.0},
     {"gap_constant": 0.0},
@@ -317,40 +302,35 @@ class SignCheckedNumpy:
         return checked
 
 
-class TestKernelDispatch:
-    """Pairs whose diagonals average align._WAVEFRONT_DIAGONAL cells or more are filled by anti-diagonals."""
+def assert_aligners_match_the_oracles(s, left, right):
+    """Both aligners, under SignCheckedNumpy, give the oracles' columns and exact score."""
+    for aligner, reference in ((pd.global_align, oracles.global_align), (pd.local_align, oracles.local_align)):
+        want = reference(s, left, right)
+        with mock.patch.object(align, "np", SignCheckedNumpy()):
+            got = aligner(s, left, right)
+        assert got == want
+        assert repr(got.score) == repr(want.score)  # repr tells -0.0 from 0.0
+        assert repr(want.score) not in ("-0.0", "nan")
 
-    @pytest.mark.parametrize("gap_mode", ["constant", "null_column"])
-    @pytest.mark.parametrize("n,m", [(129, 127), (128, 128)])
-    def test_pairs_at_the_threshold_agree_across_kernels(self, demo_matrix, n, m, gap_mode, monkeypatch):
-        assert n * m - align._WAVEFRONT_DIAGONAL * (n + m) in (-1, 0)  # just below it, and at it
-        s = ScoringScheme(matrix=demo_matrix, gap_mode=gap_mode)
-        left, right = tie_prone_pair(demo_matrix, n, m, seed=n)
-        other = 0 if n * m < align._WAVEFRONT_DIAGONAL * (n + m) else math.inf  # the fill not dispatched
-        for aligner in (pd.global_align, pd.local_align):
-            dispatched = aligner(s, left, right)
-            with monkeypatch.context() as patch:
-                patch.setattr(align, "_WAVEFRONT_DIAGONAL", other)
-                forced = aligner(s, left, right)
-            assert forced == dispatched
-            assert repr(forced.score) == repr(dispatched.score)
+
+class TestHardTables:
+    """The aligners against the full-table oracles on tables made of ties, signed zeros and overflows."""
 
     @pytest.mark.parametrize("params", HARD_SCHEMES, ids=repr)
     @pytest.mark.parametrize("gap_mode", ["constant", "null_column"])
-    def test_both_fills_agree_on_hard_tables(self, demo_matrix, params, gap_mode, monkeypatch):
+    def test_aligners_match_the_oracles_on_hard_tables(self, demo_matrix, params, gap_mode):
         s = ScoringScheme(matrix=demo_matrix, gap_mode=gap_mode, **params)
         sizes = [(0, 4), (1, 1), (2, 9), (7, 3), (12, 12), (25, 40), (60, 9), (33, 31)]
         for seed, (n, m) in enumerate(sizes):
-            left, right = tie_prone_pair(demo_matrix, n, m, seed)
-            for aligner in (pd.global_align, pd.local_align):
-                monkeypatch.setattr(align, "_WAVEFRONT_DIAGONAL", math.inf)
-                rows = aligner(s, left, right)
-                monkeypatch.setattr(align, "_WAVEFRONT_DIAGONAL", 0)
-                with mock.patch.object(align, "np", SignCheckedNumpy()):
-                    wavefront = aligner(s, left, right)
-                assert wavefront == rows
-                assert repr(wavefront.score) == repr(rows.score)  # repr tells -0.0 from 0.0
-                assert repr(rows.score) not in ("-0.0", "nan")
+            assert_aligners_match_the_oracles(s, *tie_prone_pair(demo_matrix, n, m, seed))
+
+    @pytest.mark.parametrize("params", HARD_SCHEMES, ids=repr)
+    @pytest.mark.parametrize("gap_mode", ["constant", "null_column"])
+    def test_skewed_pairs_match_the_oracles_on_hard_tables(self, demo_matrix, params, gap_mode):
+        """Anti-diagonals capped by the short word, so most of them start or end on a boundary."""
+        s = ScoringScheme(matrix=demo_matrix, gap_mode=gap_mode, **params)
+        for seed, (n, m) in enumerate([(1, 30), (30, 1), (80, 3), (4, 70)]):
+            assert_aligners_match_the_oracles(s, *tie_prone_pair(demo_matrix, n, m, seed + 8))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -359,46 +339,15 @@ class TestKernelDispatch:
         size=st.sampled_from([2, 3]),  # a 2- or 3-segment alphabet: ties in most cells
         alphabet_seed=st.integers(0, 2**32 - 1),
         gap_mode=st.sampled_from(["constant", "null_column"]),
-        local=st.booleans(),
     )
-    def test_both_fills_write_every_cell_alike(self, demo_matrix, left, right, size, alphabet_seed,
-                                               gap_mode, local):
-        """Not just the traced path: the same end cell and score, and every move byte, from one frame."""
+    def test_tie_prone_words_match_the_oracles(self, demo_matrix, left, right, size, alphabet_seed, gap_mode):
         alphabet = random.Random(alphabet_seed).sample([g for g in demo_matrix.segments if g != "∅"], size)
         s = ScoringScheme(matrix=demo_matrix, gap_mode=gap_mode)
-        rows, filled = align._rows, {}
-
-        def both(s, li, ri, local, moves, top, side):  # called with _align's frame
-            for fill in (rows, align._wavefront):
-                table = bytearray(moves)
-                score, cell = fill(s, li, ri, local, table, list(top), list(side))
-                filled[fill.__name__] = repr(score), cell, bytes(table)
-            return rows(s, li, ri, local, moves, top, side)
-
-        aligner = pd.local_align if local else pd.global_align
-        with mock.patch.object(align, "_rows", both), mock.patch.object(align, "_WAVEFRONT_DIAGONAL", math.inf):
-            aligner(s, [alphabet[k % size] for k in left], [alphabet[k % size] for k in right])
-        assert filled["_wavefront"] == filled["_rows"]
-
-    def test_only_pairs_below_the_threshold_run_the_row_loop(self, demo_matrix, monkeypatch):
-        rows, sizes = align._rows, []
-
-        def spy(s, li, ri, *rest):
-            sizes.append((len(li), len(ri)))
-            return rows(s, li, ri, *rest)
-
-        monkeypatch.setattr(align, "_rows", spy)
-        s = ScoringScheme(matrix=demo_matrix)
-        # 2,000 x 20 has more cells than 128 x 128, but diagonals of only 20
-        for n, m in [(129, 127), (128, 128), (300, 300), (2000, 20)]:
-            left, right = tie_prone_pair(demo_matrix, n, m, seed=n)
-            pd.global_align(s, left, right)
-            pd.local_align(s, left, right)
-        assert sizes == [(129, 127), (129, 127), (2000, 20), (2000, 20)]
+        assert_aligners_match_the_oracles(s, [alphabet[k % size] for k in left], [alphabet[k % size] for k in right])
 
 
 @pytest.mark.parametrize("aligner", [pd.global_align, pd.local_align])
-def test_anti_diagonal_fill_memory_is_the_move_table_and_linear_buffers(fixture_matrix, aligner, monkeypatch):
+def test_anti_diagonal_fill_memory_is_the_move_table_and_linear_buffers(fixture_matrix, aligner):
     """Besides the (n+1)(m+1)-byte move table, the anti-diagonal fill holds O(n+m)
     scores and one K×m table of the right word's similarities, K the number of
     matrix segments; a per-cell float table (8·n·m bytes) would not fit the bound."""
@@ -406,7 +355,6 @@ def test_anti_diagonal_fill_memory_is_the_move_table_and_linear_buffers(fixture_
     s = ScoringScheme(matrix=fixture_matrix)
     rng = random.Random(n)
     left, right = (rng.choices(fixture_matrix.segments, k=k) for k in (n, m))
-    monkeypatch.setattr(align, "_WAVEFRONT_DIAGONAL", 0)
     tracemalloc.start()
     try:
         aligner(s, left, right)
@@ -572,10 +520,15 @@ class TestBatchedCognancyIsExact:
 
     @pytest.mark.parametrize("gap_mode", ["constant", "null_column"])
     @pytest.mark.parametrize("mode", ["global", "local"])
-    def test_every_score_repr_matches_per_kernel(self, demo_matrix, mode, gap_mode, kernel):
+    def test_every_score_repr_matches_the_oracles(self, demo_matrix, mode, gap_mode):
+        """The batched kernel adds in the per-pair fill's order, so check it against
+        the full-table oracles too, which share no kernel code with either."""
         s = ScoringScheme(matrix=demo_matrix, gap_mode=gap_mode)
         words = list_words([g for g in demo_matrix.segments if g != "∅"], seed=1)
-        assert cognancy_score_reprs(s, words, mode) == pairwise_score_reprs(s, words, mode)
+        reference = oracles.global_align if mode == "global" else oracles.local_align
+        want = [[None if i == j else repr(reference(s, a, b).score) for j, b in enumerate(words)]
+                for i, a in enumerate(words)]
+        assert cognancy_score_reprs(s, words, mode) == want
 
     @pytest.mark.parametrize("mode", ["global", "local"])
     def test_overflow_to_infinity_matches_without_warnings(self, demo_matrix, mode):
@@ -668,8 +621,8 @@ s = pd.ScoringScheme(matrix=pd.load_reference_matrix(pd.bundled_path("paper_tabl
 for mode in ("global", "local"):
     pd.cognancy_matrix(s, ["pakis", "akim", "sun", "a", "wijam", ""], mode)
 for aligner in (pd.global_align, pd.local_align):
-    aligner(s, "pakis", "akim")  # filled by rows
-    aligner(s, "pa" * 120, "ka" * 110)  # filled by anti-diagonals
+    aligner(s, "pakis", "akim")
+    aligner(s, "pa" * 120, "ka" * 110)
 print(" ".join(sorted(set(sys.modules) - before)))
 """
 
@@ -686,13 +639,9 @@ def test_aligning_imports_no_module():
 def test_readme_quotes_the_kernel_constants():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     text = " ".join(readme.read_text(encoding="utf-8").split())  # undo the line wrapping
-    number = r"(\d[\d,]*)"
-    threshold = re.search(rf"mean diagonal of {number} cells, n·m ≥ {number}·\(n\+m\): two {number}-segment words", text)
-    chunk = re.search(rf"{number} pairs at a time", text)
-    assert threshold and chunk, "README no longer quotes the wavefront threshold or the pair chunk"
-    mean, factor, side, pairs = (int(g.replace(",", "")) for g in (*threshold.groups(), chunk[1]))
-    assert mean == factor == side // 2 == align._WAVEFRONT_DIAGONAL
-    assert pairs == align._PAIR_CHUNK
+    chunk = re.search(r"(\d[\d,]*) pairs at a time", text)
+    assert chunk, "README no longer quotes the pair chunk"
+    assert int(chunk[1].replace(",", "")) == align._PAIR_CHUNK
 
 
 class TestPairChunks:

@@ -4,8 +4,6 @@ The enumeration oracles in test_align.py and test_acceptance.py check scores
 only. These tests require the whole Alignment to be equal, columns and exact
 score, so they also pin the tie-breaks: diagonal before up before left, the
 floor winning ties in local mode, and the first best cell in row-major order.
-Each case runs once as the aligners dispatch it by size, and once per DP fill
-(row by row, anti-diagonal) with every pair sent through that fill.
 """
 
 import random
@@ -89,30 +87,28 @@ def test_long_pair_matches_reference(gap_mode, demo_matrix):
     assert_same(pd.ScoringScheme(matrix=demo_matrix, gap_mode=gap_mode), left, right)
 
 
+SKEWED = [(300, 2), (2, 300), (1, 200), (200, 0), (2000, 20)]
+
+
+@pytest.mark.parametrize("n,m", SKEWED, ids=[f"{n}x{m}" for n, m in SKEWED])
+@pytest.mark.parametrize("gap_mode", GAP_MODES)
+@pytest.mark.parametrize("matrix_kind", ["demo", "ties"])
+def test_skewed_pair_matches_reference(matrix_kind, gap_mode, n, m, demo_matrix):
+    """A long word against a short or empty one: anti-diagonals no longer than the
+    short word, and on the tie matrix, with center 0.5, cells that tie the floor."""
+    matrix = demo_matrix if matrix_kind == "demo" else tie_matrix(demo_matrix.segments, 17)
+    rng = random.Random(f"reference-skewed:{matrix_kind}:{gap_mode}:{n}x{m}")
+    segments = [g for g in matrix.segments if g != "∅"]
+    left = [rng.choice(segments) for _ in range(n)]
+    right = [rng.choice(segments) for _ in range(m)]
+    for scheme in schemes(matrix):
+        if scheme.gap_mode == gap_mode:
+            assert_same(scheme, left, right)
+
+
 def test_overflowing_scores_match_reference(demo_matrix):
     # Gap sums overflow to -inf; a global alignment must still spell both words.
     scheme = pd.ScoringScheme(matrix=demo_matrix, gap_constant=-1e308)
     for left, right in [("aaa", "a"), ("a", "pakis"), ("pakis", "ak")]:
         assert_same(scheme, left, right)
 
-
-@pytest.mark.parametrize("matrix_kind", ["demo", "ties"])
-def test_short_pairs_match_reference_per_kernel(matrix_kind, demo_matrix, kernel):
-    test_short_pairs_match_reference(matrix_kind, demo_matrix)
-
-
-def test_empty_words_match_reference_per_kernel(demo_matrix, kernel):
-    test_empty_words_match_reference(demo_matrix)
-
-
-def test_string_words_match_reference_per_kernel(demo_matrix, kernel):
-    test_string_words_match_reference(demo_matrix)
-
-
-@pytest.mark.parametrize("gap_mode", GAP_MODES)
-def test_long_pair_matches_reference_per_kernel(gap_mode, demo_matrix, kernel):
-    test_long_pair_matches_reference(gap_mode, demo_matrix)
-
-
-def test_overflowing_scores_match_reference_per_kernel(demo_matrix, kernel):
-    test_overflowing_scores_match_reference(demo_matrix)

@@ -363,6 +363,35 @@ def test_cognates_into_a_closed_pipe_exits_0_quietly(demo_matrix_file, tmp_path,
     assert head.startswith(b"# phondist ")
 
 
+# 1.5 GB of address space for the child alone: enough to import numpy with one
+# BLAS thread, less than the 2.0 GB move table of two 45,000-segment words and
+# the 7.2 GB score array of 30,000 words.
+ADDRESS_SPACE = 1_500_000_000
+
+
+@pytest.mark.parametrize("command", ["align", "cognates"])
+def test_out_of_memory_exits_1_with_one_line(command, tmp_path):
+    resource = pytest.importorskip("resource")
+    rng = random.Random(0)
+    segments = cli.load_reference_matrix(DATA["fixture"]).segments
+    if command == "align":  # two 45,000-segment words
+        argv = ["".join(rng.choices(segments, k=45_000)) for _ in range(2)]
+    else:  # 30,000 five-segment words
+        words = tmp_path / "words.txt"
+        words.write_text("".join("".join(rng.choices(segments, k=5)) + "\n" for _ in range(30_000)), encoding="utf-8")
+        argv = ["--words", str(words)]
+    src = str(Path(phondist.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "phondist", command, "--matrix", DATA["fixture"], *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE)),
+    )
+    assert (done.returncode, done.stderr.splitlines()) == (1, [f"phondist {command}: error: out of memory"])
+    assert done.stdout == ""
+
+
 class TestPca:
     def test_svg_ten_labels(self, tmp_path):
         out = tmp_path / "scatter.svg"
