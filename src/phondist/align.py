@@ -11,10 +11,11 @@ floored at 0.0, and a local alignment ends at the first best cell in
 row-major order.
 
 Kernels: `_align` fills a pair's table one anti-diagonal at a time with
-`_wavefront`; `cognancy_matrix` scores chunks of up to _PAIR_CHUNK pairs with
-`_batch_scores`. Both add the gaps up left to right along a global table's
-row and column 0, and compute each move's candidate as one addition of an
-earlier cell and a table entry, so a pair scores the same bits in either kernel.
+`_wavefront`; `cognancy_matrix` scores chunks of one right-word length and at
+most _CHUNK_CELLS cells with `_batch_scores`. Both add the gaps up left to
+right along a global table's row and column 0, and compute each move's
+candidate as one addition of an earlier cell and a table entry, so a pair
+scores the same bits in either kernel.
 
 Exactness premise: the kernels pick a cell's score with np.maximum and floor
 local cells with a max against 0.0, where the tie order asks for the first
@@ -60,8 +61,9 @@ Column = tuple[str | None, str | None]  # (left token, right token), None = gap
 # global one; `_align` writes it in cell (0, 0) and a local table's boundary.
 _DIAG, _UP, _LEFT, _STOP = 0, 1, 2, 3
 
-# Pairs per cognancy chunk: its working arrays hold a few (longest word + 1) x _PAIR_CHUNK numbers.
-_PAIR_CHUNK = 2048
+# DP cells per cognancy chunk, pairs x (longest left + right length + 1); its working arrays hold about
+# 6 numbers per cell. The kernel's pairs/s peaks at 65,536-98,304 cells and falls beyond, as buffers outgrow cache.
+_CHUNK_CELLS = 65536
 
 
 @dataclass(frozen=True)
@@ -288,92 +290,94 @@ def cognancy_matrix(
             scores[i, j] = scores[j, i] = aligner(s, segments[i], segments[j]).score
         return CognancyMatrix(words, scores)
     lengths = np.array([len(t) for t in tokens])
-    padded = np.zeros((n, lengths.max()), dtype=np.intp)  # index 0 pads: any finite entry will do
-    padded[np.arange(padded.shape[1]) < lengths[:, None]] = list(chain.from_iterable(tokens))  # row-major
+    padded = np.zeros((lengths.max(), n), dtype=np.intp)  # (position, word); index 0 pads: any finite entry will do
+    padded.T[np.arange(len(padded)) < lengths[:, None]] = list(chain.from_iterable(tokens))  # word by word
     # Python floats overflow to inf without a warning; so must the batch.
     with np.errstate(all="ignore"):
-        for left, right in _pair_chunks(lengths, _PAIR_CHUNK):
+        for left, right in _pair_chunks(lengths, _CHUNK_CELLS):
             values = _batch_scores(s._sim_array, s._gap_array, padded, lengths, left, right, mode == "local")
             scores[left, right] = scores[right, left] = values
     return CognancyMatrix(words, scores)
 
 
-def _pair_chunks(lengths: np.ndarray, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _pair_chunks(lengths: np.ndarray, budget: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every pair i < j of a word list with these lengths, once, as (left, right)
-    index arrays of at most `size` pairs; left holds i, the lower index.
+    index arrays; left holds i, the lower index.
 
-    Pairs come sorted by (lengths[i], lengths[j]): left lengths never decrease,
-    as `_batch_scores` requires, and a chunk's words have nearly equal lengths;
-    a chunk may span lengths. Each left length meets the right words a block at
-    a time, so at most 2·size + len(lengths) indices are held at once.
+    Pairs come grouped by lengths[j], ascending, one right length m per chunk,
+    and left lengths never decrease within a chunk, as `_batch_scores` requires.
+    A chunk of p pairs, its longest left word n segments, keeps p·(n + m + 1)
+    within `budget` cells or is a single pair. Left words meet a right length's
+    words a block at a time, so a few times budget / (m + 1) + len(lengths)
+    indices are held at once.
     """
     order = np.argsort(lengths, kind="stable")  # by length, then index; not np.unique, which imports numpy.ma
-    left = right = np.empty(0, dtype=np.intp)
-    for k in sorted(set(lengths.tolist())):
-        ia = np.flatnonzero(lengths == k)
-        step = max(1, size // len(ia))
+    for m in sorted(set(lengths.tolist())):
+        words = np.flatnonzero(lengths == m)
+        left = right = np.empty(0, dtype=np.intp)
+        step = max(1, budget // ((m + 1) * len(words)))  # at most budget / (m + 1) pairs, or one left word's
         for c in range(0, len(order), step):
-            cols, rows = np.nonzero(ia < order[c:c + step, None])  # by right word, then left
-            left, right = np.concatenate((left, ia[rows])), np.concatenate((right, order[c + cols]))
-            while len(left) >= size:
-                yield left[:size], right[:size]
-                left, right = left[size:], right[size:]
-    if len(left):
-        yield left, right
+            first = words.searchsorted(block := order[c:c + step], side="right")  # word k meets words[first[k]:]
+            count = len(words) - first
+            left = np.concatenate((left, block.repeat(count)))
+            right = np.concatenate((right, words[np.arange(count.sum()) + (len(words) - count.cumsum()).repeat(count)]))
+            # pairs [s, e) fit the budget when e - s <= budget // (longest left + m + 1), that is fit[e - 1] <= s
+            fit = np.arange(1, len(left) + 1) - (budget // (np.arange(lengths.max() + 1) + m + 1))[lengths[left]]
+            s, end = 0, len(left) + (c + step >= len(order))  # a chunk ends at a later pair, or the group's end
+            while s < len(left) and (e := max(s + 1, int(fit.searchsorted(s, side="right")))) < end:
+                yield left[s:e], right[s:e]
+                s = e
+            left, right = left[s:], right[s:]
 
 
 def _batch_scores(sim, gaps, padded, lengths, left, right, local: bool) -> np.ndarray:
     """_align's scores for the pairs (left[k], right[k]), one array element per pair.
 
-    Left lengths must not decrease along the pairs (`_pair_chunks` order), so the
-    pairs that end at a row are one slice and those still running a suffix.
-    Arrays are laid out (DP column, pair). A pair's words are padded past
-    their lengths; no cell it reads lies in the padding, since cell (i, j)
-    reads only cells above and to its left. Each DP cell is computed into
-    buffers allocated once per chunk. Cells are picked with `np.maximum` under
-    the exactness premise (module docstring); in local mode the floor is taken
-    before the left-gap chain: max(max(c, 0), l) = max(c, l, 0).
+    Every right word has the same length m, and left lengths must not decrease
+    along the pairs (`_pair_chunks` order). So row i of the table works on the
+    pairs whose left word is longer than i, a suffix, and the global scores of
+    the pairs whose left word ends there are one slice of row m. Arrays are laid
+    out (DP column, pair); no cell a pair reads lies past its words. Each DP
+    cell is computed into buffers allocated once per chunk. Cells are picked
+    with `np.maximum` under the exactness premise (module docstring); in local
+    mode the floor is taken before the left-gap chain: max(max(c, 0), l) = max(c, l, 0).
     """
-    nl, ml = lengths[left], lengths[right]
-    n, m, p = nl.max(), ml.max(), len(left)
+    nl = lengths[left]
+    n, m, p = nl.max(), lengths[right[0]], len(left)
     done = np.searchsorted(nl, np.arange(n + 1), side="right").tolist()  # pairs [0, done[i]) end by row i
-    lw, rw = (np.ascontiguousarray(padded[words, :k].T) for words, k in ((left, n), (right, m)))
-    lrow = lw * sim.shape[1]  # row offsets into the flat similarity table
+    lw, rw = padded[:n].take(left, axis=1), padded[:m].take(right, axis=1)
     gl, gr = gaps[lw], gaps[rw]
+    lw *= sim.shape[1]  # row offsets into the flat similarity table
     flat = sim.ravel()
     prev, row = np.zeros((2, m + 1, p))
-    at, up, lft = np.empty((m, p), dtype=np.intp), np.empty((m, p)), np.empty(p)
+    at, cand, lft = np.empty(m * p, dtype=np.intp), np.empty(m * p), np.empty(p)
     if local:
-        outside = np.arange(m + 1)[:, None] > ml if (ml < m).any() else None  # cells j > m_k
-        score, top = np.zeros(p), np.empty(p)
+        score = np.zeros(p)
     else:
         for j in range(m):  # left-to-right additions, as accumulate() makes them
             np.add(prev[j], gr[j], out=prev[j + 1])
-        ends = ml * p + np.arange(p)  # each pair's end cell in a flattened row buffer
-        score = prev.take(ends)  # read now for pairs with an empty left word
+        score = prev[m].copy()  # the scores of pairs with an empty left word
     for i in range(n):
-        cand = row[1:]
-        np.add(rw, lrow[i], out=at)
-        flat.take(at, out=cand, mode="clip")  # indices are in range; "clip" skips a buffered copy
-        np.add(prev[:-1], cand, out=cand)  # the diagonal move
-        np.add(prev[1:], gl[i], out=up)  # the up move
-        np.maximum(cand, up, out=cand)
+        d, k = done[i], p - done[i]  # row i works on the pairs whose left word is longer than i: [d, p)
+        cur, last, g, ext = row[:, d:], prev[:, d:], gr[:, d:], lft[:k]
+        idx, move = at[:m * k].reshape(m, k), cand[:m * k].reshape(m, k)  # contiguous, so `take` writes in place
+        np.add(rw[:, d:], lw[i, d:], out=idx)
+        flat.take(idx, out=move, mode="clip")  # indices are in range
+        np.add(last[:-1], move, out=cur[1:])  # the diagonal move
+        np.add(last[1:], gl[i, d:], out=move)  # the up move
+        np.maximum(cur[1:], move, out=cur[1:])
         if local:  # floored before the left-gap chain; row[0] stays 0.0 in both buffers
-            np.maximum(cand, 0.0, out=cand)
+            np.maximum(cur[1:], 0.0, out=cur[1:])
         else:
-            np.add(prev[0], gl[i], out=row[0])
-        for j in range(m):  # the left-gap chain runs along the row
-            np.add(row[j], gr[j], out=lft)
-            np.maximum(row[j + 1], lft, out=row[j + 1])
+            np.add(last[0], gl[i, d:], out=cur[0])
+        for a, b, gj in zip(cur[:-1], cur[1:], g):  # the left-gap chain runs along the row
+            np.add(a, gj, out=ext)
+            np.maximum(b, ext, out=b)
         if local:
-            if outside is not None:
-                np.copyto(row, 0.0, where=outside)  # later rows never read past m_k
-            run = slice(done[i], p)  # the pairs whose left word is longer than i
-            row[:, run].max(axis=0, out=top[run])
-            np.maximum(score[run], top[run], out=score[run])
-        else:
-            end = slice(done[i], done[i + 1])  # the pairs whose left word ends at row i + 1
-            row.take(ends[end], out=score[end], mode="clip")
+            cur.max(axis=0, out=ext)
+            np.maximum(score[d:], ext, out=score[d:])
+        else:  # the pairs whose left word ends at row i + 1
+            score[d:done[i + 1]] = cur[m, :done[i + 1] - d]
         prev, row = row, prev
     return score
 

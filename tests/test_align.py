@@ -508,12 +508,12 @@ def list_words(graphemes, seed):
 class TestBatchedCognancyIsExact:
     """cognancy_matrix scores pairs in batches; each score must be the per-pair aligner's, bit for bit."""
 
-    @pytest.mark.parametrize("chunk", [None, 1, 7, 64])
+    @pytest.mark.parametrize("budget", [None, 1, 7, 64, 1024])
     @pytest.mark.parametrize("gap_mode", ["constant", "null_column"])
     @pytest.mark.parametrize("mode", ["global", "local"])
-    def test_every_score_repr_matches(self, demo_matrix, mode, gap_mode, chunk, monkeypatch):
-        if chunk is not None:  # chunks smaller than the list's 406 pairs cross row and chunk edges
-            monkeypatch.setattr(align, "_PAIR_CHUNK", chunk)
+    def test_every_score_repr_matches(self, demo_matrix, mode, gap_mode, budget, monkeypatch):
+        if budget is not None:  # from single pairs to tens of pairs per chunk: crosses row and chunk edges
+            monkeypatch.setattr(align, "_CHUNK_CELLS", budget)
         s = ScoringScheme(matrix=demo_matrix, gap_mode=gap_mode)
         words = list_words([g for g in demo_matrix.segments if g != "∅"], seed=0)
         assert cognancy_score_reprs(s, words, mode) == pairwise_score_reprs(s, words, mode)
@@ -599,13 +599,34 @@ class TestBatchedCognancyIsExact:
         ),
         gap_mode=st.sampled_from(["constant", "null_column"]),
         mode=st.sampled_from(["global", "local"]),
-        chunk=st.integers(1, 40),
+        budget=st.integers(1, 400),
     )
-    def test_hypothesis_lists(self, demo_matrix, words, gap_mode, mode, chunk):
+    def test_hypothesis_lists(self, demo_matrix, words, gap_mode, mode, budget):
         s = ScoringScheme(matrix=demo_matrix, gap_mode=gap_mode)
         words = ["".join(w) for w in words]
-        with mock.patch.object(align, "_PAIR_CHUNK", chunk):  # per example, not per test call
+        with mock.patch.object(align, "_CHUNK_CELLS", budget):  # per example, not per test call
             assert cognancy_score_reprs(s, words, mode) == pairwise_score_reprs(s, words, mode)
+
+    @pytest.mark.parametrize("gap_mode", ["constant", "null_column"])
+    @pytest.mark.parametrize("mode", ["global", "local"])
+    def test_short_words_beside_long_ones_match_in_bounded_memory(self, demo_matrix, mode, gap_mode):
+        """60 words of 0-6 segments and 2 of 150. Besides the 8·n² bytes of scores,
+        cognancy_matrix holds one chunk's buffers (about 6 numbers per budget cell)
+        and the enumeration's indices, not short pairs padded to the long words."""
+        rng = random.Random(5)
+        graphemes = [g for g in demo_matrix.segments if g != "∅"]
+        words = ["".join(rng.choices(graphemes, k=k)) for k in [rng.randint(0, 6) for _ in range(60)] + [150, 150]]
+        rng.shuffle(words)
+        s = ScoringScheme(matrix=demo_matrix, gap_mode=gap_mode)
+        tracemalloc.start()
+        try:
+            pd.cognancy_matrix(s, words, mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = len(words)
+        assert peak <= 8 * n * n + 8 * 8 * align._CHUNK_CELLS
+        assert cognancy_score_reprs(s, words, mode) == pairwise_score_reprs(s, words, mode)
 
 
 # Run in a fresh interpreter, where a lazy import shows: on numpy 2.x np.unique
@@ -639,13 +660,14 @@ def test_aligning_imports_no_module():
 def test_readme_quotes_the_kernel_constants():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     text = " ".join(readme.read_text(encoding="utf-8").split())  # undo the line wrapping
-    chunk = re.search(r"(\d[\d,]*) pairs at a time", text)
-    assert chunk, "README no longer quotes the pair chunk"
-    assert int(chunk[1].replace(",", "")) == align._PAIR_CHUNK
+    budget = re.search(r"(\d[\d,]*) DP cells", text)
+    assert budget, "README no longer quotes the chunk's cell budget"
+    assert int(budget[1].replace(",", "")) == align._CHUNK_CELLS
 
 
 class TestPairChunks:
-    """The batched kernel's enumeration: every pair once, in length order, in bounded chunks."""
+    """The batched kernel's enumeration: every pair once, one right length per chunk,
+    left lengths in order, chunks within the cell budget."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -653,30 +675,38 @@ class TestPairChunks:
             st.lists(st.integers(0, 12), min_size=2, max_size=40),
             st.tuples(st.integers(2, 40), st.integers(0, 12)).map(lambda nk: [nk[1]] * nk[0]),  # all equal
         ),
-        size=st.integers(1, 64),
+        budget=st.integers(1, 400),
     )
-    @example(lengths=[5, 5], size=1)
-    @example(lengths=[3, 0], size=64)
-    @example(lengths=list(range(13)), size=4)
-    def test_every_pair_once_in_length_order(self, lengths, size):
-        lengths = np.array(lengths)
-        chunks = list(align._pair_chunks(lengths, size))
-        assert all(len(left) == len(right) == size for left, right in chunks[:-1])
-        assert 0 < len(chunks[-1][0]) == len(chunks[-1][1]) <= size
-        pairs = [(i, j) for left, right in chunks for i, j in zip(left.tolist(), right.tolist())]
+    @example(lengths=[5, 5], budget=1)
+    @example(lengths=[3, 0], budget=64)
+    @example(lengths=list(range(13)), budget=40)
+    @example(lengths=[12] * 3 + [1] * 30, budget=40)  # blocks of one left word; chunks span blocks
+    def test_every_pair_once_in_length_order(self, lengths, budget):
+        chunks = [(left.tolist(), right.tolist()) for left, right in align._pair_chunks(np.array(lengths), budget)]
+        pairs = [(i, j) for left, right in chunks for i, j in zip(left, right)]
         assert sorted(pairs) == list(itertools.combinations(range(len(lengths)), 2))  # left is the lower index
-        keys = [(lengths[i], lengths[j]) for i, j in pairs]
-        assert keys == sorted(keys)
+        for left, right in chunks:
+            assert 0 < len(left) == len(right)
+            assert len({lengths[j] for j in right}) == 1, "a chunk spans right lengths"
+            nl, m = [lengths[i] for i in left], lengths[right[0]]
+            assert nl == sorted(nl)
+            assert len(left) * (nl[-1] + m + 1) <= budget or len(left) == 1
+        ms = [lengths[right[0]] for _, right in chunks]
+        assert ms == sorted(ms)
+        for (left, _), (after, _), m, m_after in zip(chunks, chunks[1:], ms, ms[1:]):  # closed only when full
+            assert m != m_after or (len(left) + 1) * (lengths[after[0]] + m + 1) > budget
 
-    def test_no_chunk_exceeds_the_pair_chunk(self, demo_matrix, monkeypatch):
+    def test_no_chunk_exceeds_the_cell_budget(self, demo_matrix, monkeypatch):
         seen = []
         batch = align._batch_scores
-        monkeypatch.setattr(align, "_PAIR_CHUNK", 7)
-        monkeypatch.setattr(align, "_batch_scores", lambda *a: seen.append(len(a[4])) or batch(*a))
+        monkeypatch.setattr(align, "_CHUNK_CELLS", 100)
+        monkeypatch.setattr(align, "_batch_scores", lambda *a: seen.append(
+            (len(a[4]), a[3][a[4]].max() + a[3][a[5]].max() + 1)) or batch(*a))
         words = list_words([g for g in demo_matrix.segments if g != "∅"], seed=2)
         pd.cognancy_matrix(ScoringScheme(matrix=demo_matrix), words, "global")
         n = len(words)
-        assert max(seen) == 7 and sum(seen) == n * (n - 1) // 2
+        assert all(p * width <= 100 or p == 1 for p, width in seen)
+        assert max(p for p, _ in seen) > 1 and sum(p for p, _ in seen) == n * (n - 1) // 2
 
 
 def is_marked_cognate(score: float, threshold: float) -> bool:
