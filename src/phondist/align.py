@@ -10,9 +10,9 @@ right-word segment) on a strictly greater score. A local cell not above 0 is
 floored at 0.0, and a local alignment ends at the first best cell in
 row-major order.
 
-Kernels: `_align` fills a pair's table one anti-diagonal at a time with
-`_wavefront`; `cognancy_matrix` scores chunks of one right-word length and at
-most _CHUNK_CELLS cells with `_batch_scores`. Both add the gaps up left to
+Kernels: `_align` fills a pair's table one anti-diagonal at a time and traces
+back; `cognancy_matrix` scores chunks of one right-word length and at most
+_CHUNK_CELLS cells with `_batch_scores`. Both add the gaps up left to
 right along a global table's row and column 0, and compute each move's
 candidate as one addition of an earlier cell and a table entry, so a pair
 scores the same bits in either kernel.
@@ -56,7 +56,7 @@ DEFAULT_GAP = -5.0
 Column = tuple[str | None, str | None]  # (left token, right token), None = gap
 
 # Traceback moves, one byte per DP cell. _DIAG and _UP are 0 and 1, so that
-# `_wavefront` writes its first pick as a boolean straight into the table.
+# `_align` writes its first pick as a boolean straight into the table.
 # _STOP ends a local alignment (the cell was floored) and marks the origin of a
 # global one; `_align` writes it in cell (0, 0) and a local table's boundary.
 _DIAG, _UP, _LEFT, _STOP = 0, 1, 2, 3
@@ -165,43 +165,8 @@ def _indices(s: ScoringScheme, word: "str | Sequence[str]") -> list[int]:
 
 
 def _align(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> Alignment:
-    """The dynamic program behind both aligners. It sets up the move table, with
-    its boundary moves, and the boundary scores of row 0 (`top`) and column 0
-    (`side`), has `_wavefront` write the interior, and traces back from its end cell."""
-    n, m = len(li), len(ri)
-    width = m + 1
-    moves = bytearray(width * (n + 1))  # _wavefront writes every interior cell
-    moves[0] = _STOP
-    if local:
-        top, side = [0.0] * width, [0.0] * (n + 1)
-        moves[1:width], moves[width::width] = [_STOP] * m, [_STOP] * n
-    else:  # the gaps added up left to right, as _batch_scores adds them
-        top = list(accumulate(s._gap_array[ri].tolist(), initial=0.0))
-        side = list(accumulate(s._gap_array[li].tolist(), initial=0.0))
-        moves[1:width] = [_LEFT] * m
-        moves[width::width] = [_UP] * n
-    score, (i, j) = _wavefront(s, li, ri, local, moves, top, side)
-    seg = s.matrix.segments
-    columns: list[Column] = []
-    while (which := moves[i * width + j]) != _STOP:
-        if which == _DIAG:
-            i -= 1
-            j -= 1
-            columns.append((seg[li[i]], seg[ri[j]]))
-        elif which == _UP:
-            i -= 1
-            columns.append((seg[li[i]], None))
-        else:
-            j -= 1
-            columns.append((None, seg[ri[j]]))
-    columns.reverse()
-    return Alignment(tuple(columns), score)
-
-
-def _wavefront(s: ScoringScheme, li: list[int], ri: list[int], local: bool,
-               moves: bytearray, top: list[float], side: list[float]) -> tuple[float, tuple[int, int]]:
-    """Fills _align's interior cells one anti-diagonal d = i + j at a time (Wozniak
-    1997); returns the score and end cell.
+    """The dynamic program behind both aligners. It fills the move table one
+    anti-diagonal d = i + j at a time (Wozniak 1997) and traces back from the end cell.
 
     Diagonal buffers are indexed by i, so cell (i, d-i) reads cell i-1 of the
     two previous diagonals (diagonal and up moves) and cell i of the last one
@@ -213,25 +178,32 @@ def _wavefront(s: ScoringScheme, li: list[int], ri: list[int], local: bool,
     premise (module docstring).
     """
     n, m = len(li), len(ri)
+    width = m + 1
+    table = np.zeros((n + 1) * width, dtype=np.uint8)  # cell (i, j) at i·width + j; the fill writes every interior cell
+    table[:width], table[::width] = (_STOP, _STOP) if local else (_LEFT, _UP)
+    table[0] = _STOP
     lidx, ridx = np.array(li, dtype=np.intp), np.array(ri, dtype=np.intp)
     gl, grrev = s._gap_array[lidx], s._gap_array[ridx[::-1]]  # cell (i, d-i) reads ri[d-i-1], at m-d+i in grrev
+    if not local:  # the gaps added up left to right, as _batch_scores adds them
+        top = list(accumulate(grrev[::-1].tolist(), initial=0.0))
+        side = list(accumulate(gl.tolist(), initial=0.0))
     # sims[n+1 + k·m + j] = sim(k, ri[j]), so cell (i, d-i) reads sims[d + base[i-1]];
     # the n+1 leading pads keep base non-negative. "clip" on both takes skips a
     # buffered copy of `out`; every index is in range.
     sims = np.zeros(n + 1 + len(s._gap_array) * m)
     s._sim_array.take(ridx, axis=1, out=sims[n + 1:].reshape(len(s._gap_array), m), mode="clip")
     base = lidx * m + np.arange(n - 1, -1, -1)
-    table = np.frombuffer(moves, dtype=np.uint8)
-    # Diagonals d-2, d-1 and d. Cells 0 and d of diagonal d are the boundary
-    # row and column, copied from top and side.
+    # Diagonals d-2, d-1 and d. Cells 0 and d of diagonal d are row 0 and
+    # column 0: top and side in global mode. In local mode they stay 0.0, as no
+    # diagonal before d writes them.
     older, last, cur = np.zeros((3, n + 1))
     cand, pick = np.empty(n), np.empty(n, dtype=bool)
-    best_score, best_cell = 0.0, (0, 0)
+    score, (i, j) = 0.0, (0, 0)
     with np.errstate(all="ignore"):  # Python floats overflow to inf without a warning
-        for d in range(n + m + 1):
-            if d <= m:
+        for d in range(1, n + m + 1):
+            if not local and d <= m:
                 cur[0] = top[d]
-            if d <= n:
+            if not local and d <= n:
                 cur[d] = side[d]
             lo, hi = max(1, d - m), min(n, d - 1)
             if lo <= hi:
@@ -254,13 +226,27 @@ def _wavefront(s: ScoringScheme, li: list[int], ri: list[int], local: bool,
                     # the first best cell in row-major order: first on this diagonal,
                     # then against earlier diagonals by (i, j)
                     a = int(h.argmax())
-                    score, cell = h.item(a), (lo + a, d - lo - a)
-                    if score > best_score or (score == best_score and cell < best_cell):
-                        best_score, best_cell = score, cell
+                    best, cell = h.item(a), (lo + a, d - lo - a)
+                    if best > score or (best == score and cell < (i, j)):
+                        score, (i, j) = best, cell
             older, last, cur = last, cur, older
-    if local:
-        return best_score, best_cell
-    return last.item(n), (n, m)
+    score, i, j = (score, i, j) if local else (last.item(n), n, m)
+    del sims, base, older, last, cur  # free before the traceback builds its columns
+    moves, seg = table.data, s.matrix.segments
+    columns: list[Column] = []
+    while (which := moves[i * width + j]) != _STOP:
+        if which == _DIAG:
+            i -= 1
+            j -= 1
+            columns.append((seg[li[i]], seg[ri[j]]))
+        elif which == _UP:
+            i -= 1
+            columns.append((seg[li[i]], None))
+        else:
+            j -= 1
+            columns.append((None, seg[ri[j]]))
+    columns.reverse()
+    return Alignment(tuple(columns), score)
 
 
 def cognancy_matrix(

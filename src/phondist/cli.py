@@ -128,9 +128,9 @@ def _naming(*paths: str):
         raise InputError(f"{', '.join(map(_one_line, paths))}: {exc}") from exc
 
 
-def _load(path: str, loader, *args):
+def _load(path: str, loader):
     with _naming(path):
-        return loader(path, *args)
+        return loader(path)
 
 
 # The line breaks of str.splitlines.

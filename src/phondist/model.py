@@ -110,13 +110,8 @@ def fit(ds: "SeedDataset", inv: Inventory, lam: float = DEFAULT_LAMBDA) -> Linea
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD of the design matrix failed: {exc}") from exc
 
-    if lam > 0:
-        shrink = s / (s * s + lam)
-    else:
-        cutoff = _RCOND * (s[0] if s.size else 0.0)
-        shrink = np.zeros_like(s)
-        keep = s > cutoff
-        shrink[keep] = 1.0 / s[keep]
+    keep = s > (0.0 if lam > 0 else _RCOND * s.max(initial=0.0))
+    shrink = np.divide(s, s * s + lam, out=np.zeros_like(s), where=keep)
     w = vt.T @ (shrink * (u.T @ yc))
     intercept = y_mean - float(x_mean @ w)
 

@@ -233,6 +233,12 @@ class TestDistance:
         assert run("distance", "--matrix", DATA["fixture"], "q", "x") == 2
         assert "q" in capsys.readouterr().err
 
+    def test_header_only_matrix_exit_2_one_line(self, tmp_path, capsys):
+        matrix = tmp_path / "m.tsv"
+        matrix.write_text("segment\n", encoding="utf-8")
+        assert run("distance", "--matrix", str(matrix), "a", "b") == 2
+        assert capsys.readouterr().err == f"phondist distance: error: {matrix}: matrix header row is malformed\n"
+
     def test_malformed_matrix_at_a_path_with_a_line_break_one_line_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("segment\ta\tb\nb\t0\t1\na\t1\t0\n", encoding="utf-8")  # rows out of order

@@ -51,6 +51,10 @@ class TestDistanceMatrixInvariants:
         with pytest.raises(InputError, match="finite"):
             DistanceMatrix(["a", "b"], values)
 
+    def test_rejects_a_shape_that_does_not_match_the_segments(self):
+        with pytest.raises(InputError, match=r"matrix shape \(3, 3\) does not match 2 segments"):
+            DistanceMatrix(["a", "b"], np.zeros((3, 3)))
+
     def test_rejects_duplicate_graphemes(self):
         values = np.zeros((2, 2))
         with pytest.raises(InputError, match="duplicate"):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phondist as pd
-from phondist.errors import InputError
+from phondist.errors import InputError, UnknownSegmentError
 from phondist.features import fingerprint_features
 from phondist.model import FingerprintError, LinearModel, encode_pairs
 from phondist.seed import SeedDataset, SimilarityRecord
@@ -94,6 +94,12 @@ class TestFit:
         assert np.all(np.isfinite(w))
         assert abs(w[0] - w[5]) < 1e-6  # bothPlus pair
         assert abs(w[F + 0] - w[F + 5]) < 1e-6  # bothMinus pair
+
+    def test_a_segment_the_inventory_lacks_raises(self):
+        inv, smaller = (random_inventory(n_features=4, n_segments=k, seed=2) for k in (30, 20))
+        ds = SeedDataset([SimilarityRecord("g1", "g2", 1.0, "seed"), SimilarityRecord("g1", "g25", 2.0, "seed")], inv)
+        with pytest.raises(UnknownSegmentError, match="g25"):
+            pd.fit(ds, smaller)
 
     def test_ridge_matches_normal_equations(self):
         inv = random_inventory(n_features=4, n_segments=30, seed=2)
