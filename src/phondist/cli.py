@@ -133,14 +133,9 @@ def _load(path: str, loader):
         return loader(path)
 
 
-# The line breaks of str.splitlines.
-_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-
-
 def _one_line(value) -> str:
-    """str(value) with its line breaks, and the surrogates that stand for a path's
-    undecodable bytes (UTF-8 cannot encode them), backslash-escaped."""
-    return "".join(ascii(c)[1:-1] if c in _BREAKS or "\ud800" <= c <= "\udfff" else c for c in str(value))
+    """str(value) with each unprintable character (line breaks, controls, surrogates) backslash-escaped."""
+    return "".join(c if c.isprintable() else ascii(c)[1:-1] for c in str(value))
 
 
 def _params_header(**params) -> str:

@@ -168,13 +168,22 @@ def export_pca_tsv(result: PcaResult, sink: str | Path | TextIO, header: str = "
     textio.write_table(sink, header, rows)
 
 
+# The scatter's fixed 800x600 frame, axes 60 px in: slots for the header comment and the points.
+_SVG = """<?xml version="1.0" encoding="UTF-8"?>
+<svg xmlns="http://www.w3.org/2000/svg" width="800" height="600" viewBox="0 0 800 600">
+{comment}<rect width="800" height="600" fill="white"/>
+<line x1="60" y1="540" x2="740" y2="540" stroke="#888"/>
+<line x1="60" y1="60" x2="60" y2="540" stroke="#888"/>
+<text x="400" y="585" font-size="14" text-anchor="middle">PC1</text>
+<text x="20" y="300" font-size="14" text-anchor="middle" transform="rotate(-90 20 300)">PC2</text>
+{points}</svg>
+"""
+
+
 def export_pca_svg(result: PcaResult, sink: str | Path | TextIO, header: str = "") -> None:
     """Static 800x600 scatter of (PC1, PC2) with one label per segment."""
     if result.coordinates.shape[1] < 2:
         raise InputError("SVG scatter needs at least 2 components")
-    width, height, margin = 800, 600, 60
-    xs = result.coordinates[:, 0]
-    ys = result.coordinates[:, 1]
 
     def scale(v: np.ndarray, lo_px: float, hi_px: float) -> np.ndarray:
         span = v.max() - v.min()
@@ -182,42 +191,22 @@ def export_pca_svg(result: PcaResult, sink: str | Path | TextIO, header: str = "
             return np.full_like(v, (lo_px + hi_px) / 2.0)
         return lo_px + (v - v.min()) / span * (hi_px - lo_px)
 
-    px = scale(xs, margin, width - margin)
     # SVG y axis grows downward.
-    py = scale(ys, height - margin, margin)
-
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-    ]
-    if header:  # an XML comment may not hold "--" or end in "-"
-        parts.append(f"<!-- {re.sub('-(?=-|$)', '- ', header)} -->")
-    parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
-    parts.append(
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="#888"/>'
+    px, py = scale(result.coordinates[:, 0], 60, 740), scale(result.coordinates[:, 1], 540, 60)
+    # an XML comment may not hold "--" or end in "-"
+    comment = f"<!-- {_xml_text(re.sub('-(?=-|$)', '- ', header))} -->\n" if header else ""
+    points = "".join(
+        f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" fill="#1f6fb2"/>\n<text class="seg-label" '
+        f'x="{x + 6:.1f}" y="{y - 6:.1f}" font-size="16">{_xml_escape(g)}</text>\n'
+        for g, x, y in zip(result.segments, px, py)
     )
-    parts.append(
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="#888"/>'
-    )
-    parts.append(
-        f'<text x="{width // 2}" y="{height - margin // 4}" font-size="14" '
-        'text-anchor="middle">PC1</text>'
-    )
-    parts.append(
-        f'<text x="{margin // 3}" y="{height // 2}" font-size="14" text-anchor="middle" '
-        f'transform="rotate(-90 {margin // 3} {height // 2})">PC2</text>'
-    )
-    for grapheme, x, y in zip(result.segments, px, py):
-        label = _xml_escape(grapheme)
-        parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" fill="#1f6fb2"/>')
-        parts.append(
-            f'<text class="seg-label" x="{x + 6:.1f}" y="{y - 6:.1f}" font-size="16">{label}</text>'
-        )
-    parts.append("</svg>")
-    textio.write_text(sink, "\n".join(parts) + "\n")
+    textio.write_text(sink, _SVG.format(comment=comment, points=points))
 
 
 def _xml_escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return _xml_text(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _xml_text(text: str) -> str:
+    """text with each character XML 1.0 cannot hold written as its Python backslash escape."""
+    return re.sub("[^\t\n\r -\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]", lambda m: ascii(m[0])[1:-1], text)

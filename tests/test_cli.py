@@ -418,6 +418,32 @@ class TestPca:
         assert "--" not in comment.data and "a- -b-.tsv" in comment.data
         assert len(doc.getElementsByTagName("circle")) == 10
 
+    def test_svg_from_path_with_control_character_is_xml(self, tmp_path):
+        matrix = _copy_or_skip(DATA["fixture"], tmp_path / "m\x01x.tsv")
+        out = tmp_path / "scatter.svg"
+        assert run("pca", "--matrix", str(matrix), "-k", "2", "--format", "svg", "-o", str(out)) == 0
+        doc = xml.dom.minidom.parse(str(out))
+        comment = next(n for n in doc.documentElement.childNodes if n.nodeType == n.COMMENT_NODE)
+        assert f"matrix={tmp_path / 'm'}\\x01x.tsv k=2" in comment.data
+        assert len(doc.getElementsByTagName("circle")) == 10
+
+    def test_svg_for_control_character_grapheme_is_xml(self, tmp_path):
+        matrix = tmp_path / "m.tsv"
+        matrix.write_text("segment\ta\t\x01\na\t0\n\x01\t0.5\t0\n", encoding="utf-8")
+        out = tmp_path / "scatter.svg"
+        assert run("pca", "--matrix", str(matrix), "-k", "2", "--format", "svg", "-o", str(out)) == 0
+        labels = [n.firstChild.data for n in xml.dom.minidom.parse(str(out)).getElementsByTagName("text")
+                  if n.getAttribute("class") == "seg-label"]
+        assert labels == ["a", "\\x01"]
+
+    def test_input_error_at_a_path_with_escape_character_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("segment\n", encoding="utf-8")
+        matrix = _copy_or_skip(bad, tmp_path / "m\x1b.tsv")
+        assert run("pca", "--matrix", str(matrix), "-o", str(tmp_path / "pca.tsv")) == 2
+        err = capsys.readouterr().err
+        assert err == f"phondist pca: error: {tmp_path / 'm'}\\x1b.tsv: matrix header row is malformed\n"
+
     @pytest.mark.parametrize("fmt", ["tsv", "svg"])
     def test_matrix_path_with_non_utf8_byte(self, fmt, tmp_path):
         matrix = _copy_or_skip(DATA["fixture"], tmp_path / "p\udcff.tsv")

@@ -1,11 +1,12 @@
 import io
+import xml.dom.minidom
 
 import numpy as np
 import pytest
 
 import phondist as pd
 from phondist.errors import InputError, UnknownSegmentError
-from phondist.matrix import DistanceMatrix, export_matrix_tsv, export_pca_svg, export_pca_tsv
+from phondist.matrix import DistanceMatrix, PcaResult, export_matrix_tsv, export_pca_svg, export_pca_tsv
 
 from oracles import jacobi_eigh
 
@@ -301,6 +302,22 @@ class TestExport:
             assert f">{g}</text>" in svg
         assert 'width="800" height="600"' in svg
         assert "http://" not in svg.replace("http://www.w3.org/2000/svg", "")
+
+    def test_svg_constant_pc2_lands_mid_frame(self, tmp_path):
+        result = PcaResult(components=np.eye(2, 3), eigenvalues=np.array([1.0, 0.0]),
+                           coordinates=np.array([[0.0, 0.5], [1.0, 0.5], [2.0, 0.5]]), segments=("a", "b", "c"))
+        path = tmp_path / "scatter.svg"
+        export_pca_svg(result, path)
+        circles = xml.dom.minidom.parse(str(path)).getElementsByTagName("circle")
+        assert [(c.getAttribute("cx"), c.getAttribute("cy")) for c in circles] == [
+            ("60.0", "300.0"), ("400.0", "300.0"), ("740.0", "300.0")]
+
+    def test_svg_header_with_characters_xml_cannot_hold_is_xml(self, fixture_matrix, tmp_path):
+        path = tmp_path / "scatter.svg"
+        export_pca_svg(pd.pca(fixture_matrix, 2), path, header="a\x00b\x1b\ud800\ufffe&<c>--")
+        doc = xml.dom.minidom.parse(str(path))
+        comment = next(n for n in doc.documentElement.childNodes if n.nodeType == n.COMMENT_NODE)
+        assert comment.data == " a\\x00b\\x1b\\ud800\\ufffe&<c>- -  "
 
     def test_svg_needs_two_components(self, fixture_matrix, tmp_path):
         result = pd.pca(fixture_matrix, 1)

@@ -1,8 +1,8 @@
 """The bundled pipeline's outputs hash to the digests the benchmark records.
 
 `perfbench/digests.json` pins the matrix TSV, the cognates tables, the
-README alignment, the 150-word cognancy-list tables and the 1,000 x 1,000
-long-pair alignments byte for byte; these tests read it (never write it) and
+README alignment, the PCA scatter, the 150-word cognancy-list tables and the
+1,000 x 1,000 long-pair alignments byte for byte; these tests read it (never write it) and
 rebuild the same outputs in-process, so a change to any of them shows in
 tier-1 as well as in a benchmark run.
 """
@@ -10,6 +10,7 @@ tier-1 as well as in a benchmark run.
 import hashlib
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,14 @@ def test_cognates_stdout(name, matrix_file, capsys):
 def test_align_stdout(matrix_file, capsys):
     assert main(["align", "--matrix", matrix_file, "woldemort", "waldemar"]) == 0
     assert sha256(capsys.readouterr().out) == DIGESTS["cli-pipeline"]["align.txt"]
+
+
+def test_pca_scatter_svg(tmp_path, monkeypatch):
+    (tmp_path / "data").mkdir()
+    shutil.copyfile(bundled_path("paper_table.tsv"), tmp_path / "data" / "paper_table.tsv")
+    monkeypatch.chdir(tmp_path)  # the header echoes the relative path, as perfbench/run.py's PCA step runs it
+    assert main(["pca", "--matrix", "data/paper_table.tsv", "-k", "2", "--format", "svg", "-o", "scatter.svg"]) == 0
+    assert hashlib.sha256((tmp_path / "scatter.svg").read_bytes()).hexdigest() == DIGESTS["cli-pipeline"]["scatter.svg"]
 
 
 def perfbench_inputs():
