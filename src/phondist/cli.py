@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        self.exit(2, f"{self.prog}: error: {textio.one_line(message)}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,7 +125,7 @@ def _naming(*paths: str):
     try:
         yield
     except InputError as exc:
-        raise InputError(f"{', '.join(map(_one_line, paths))}: {exc}") from exc
+        raise InputError(f"{', '.join(paths)}: {exc}") from exc
 
 
 def _load(path: str, loader):
@@ -133,13 +133,8 @@ def _load(path: str, loader):
         return loader(path)
 
 
-def _one_line(value) -> str:
-    """str(value) with each unprintable character (line breaks, controls, surrogates) backslash-escaped."""
-    return "".join(c if c.isprintable() else ascii(c)[1:-1] for c in str(value))
-
-
 def _params_header(**params) -> str:
-    rendered = " ".join(f"{k}={_one_line(v)}" for k, v in params.items())
+    rendered = " ".join(f"{k}={v}" for k, v in params.items())
     return f"phondist {__version__} {rendered}"
 
 
@@ -178,7 +173,7 @@ def cmd_matrix(args) -> None:
         dm = build_matrix(model, inv, include_null=args.include_null)
     header = _params_header(model=args.model, include_null=args.include_null)
     export_matrix_tsv(dm, args.out, header=header)
-    print(f"wrote {len(dm)}x{len(dm)} matrix to {_one_line(args.out)}")
+    print(f"wrote {len(dm)}x{len(dm)} matrix to {textio.one_line(args.out)}")
 
 
 def _matrix(args):
@@ -231,7 +226,7 @@ def cmd_pca(args) -> None:
         export_pca_svg(result, args.out, header=header)
     else:
         export_pca_tsv(result, args.out, header=header)
-    print(f"wrote {args.format} to {_one_line(args.out)}")
+    print(f"wrote {args.format} to {textio.one_line(args.out)}")
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -250,10 +245,10 @@ def main(argv: "list[str] | None" = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (InputError, OSError) as exc:
-        print(f"phondist {args.command}: error: {exc}", file=sys.stderr)
+        print(textio.one_line(f"phondist {args.command}: error: {exc}"), file=sys.stderr)
         return 2
     except NumericalError as exc:
-        print(f"phondist {args.command}: numerical failure: {exc}", file=sys.stderr)
+        print(textio.one_line(f"phondist {args.command}: numerical failure: {exc}"), file=sys.stderr)
         return 1
     except MemoryError:  # an input too large for this process, e.g. under `ulimit -v`
         print(f"phondist {args.command}: error: out of memory", file=sys.stderr)

@@ -194,7 +194,7 @@ def export_pca_svg(result: PcaResult, sink: str | Path | TextIO, header: str = "
     # SVG y axis grows downward.
     px, py = scale(result.coordinates[:, 0], 60, 740), scale(result.coordinates[:, 1], 540, 60)
     # an XML comment may not hold "--" or end in "-"
-    comment = f"<!-- {_xml_text(re.sub('-(?=-|$)', '- ', header))} -->\n" if header else ""
+    comment = f"<!-- {re.sub('-(?=-|$)', '- ', textio.one_line(header))} -->\n" if header else ""
     points = "".join(
         f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" fill="#1f6fb2"/>\n<text class="seg-label" '
         f'x="{x + 6:.1f}" y="{y - 6:.1f}" font-size="16">{_xml_escape(g)}</text>\n'
@@ -204,9 +204,6 @@ def export_pca_svg(result: PcaResult, sink: str | Path | TextIO, header: str = "
 
 
 def _xml_escape(text: str) -> str:
-    return _xml_text(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def _xml_text(text: str) -> str:
-    """text with each character XML 1.0 cannot hold written as its Python backslash escape."""
-    return re.sub("[^\t\n\r -\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]", lambda m: ascii(m[0])[1:-1], text)
+    """text as XML character data, each character XML 1.0 cannot hold as its backslash escape."""
+    text = re.sub("[^\t\n\r -\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]", lambda m: ascii(m[0])[1:-1], text)
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")

@@ -6,7 +6,8 @@ skip blank lines and "#" comments, hand out stripped, NFC-normalized cells
 with the file's own line numbers, and raise InputError with a one-line message
 for a file that is not valid UTF-8, CSV or JSON or whose rows have the wrong
 width; the CLI puts the file's name in front of it, as it does for every input
-error a file causes.
+error a file causes. `one_line` is the one rule for text that leaves the
+package as a single line: every table comment, SVG comment and CLI line.
 """
 
 import csv
@@ -54,6 +55,11 @@ def nfc(text: str) -> str:
     return unicodedata.normalize("NFC", text.strip())
 
 
+def one_line(value) -> str:
+    """str(value) with each unprintable character (line breaks, controls, surrogates) backslash-escaped."""
+    return "".join(c if c.isprintable() else ascii(c)[1:-1] for c in str(value))
+
+
 def read_lines(source: str | Path | TextIO) -> list[tuple[int, str]]:
     """(line number, text without its newline) per data line; blank and "#" comment lines skipped."""
     return [
@@ -82,10 +88,10 @@ def read_table(source: str | Path | TextIO, ragged: bool = False) -> tuple[list[
 
 def write_table(sink: str | Path | TextIO, comment: str, rows: Iterable[Iterable[str]]) -> None:
     """Tab-separated rows, one per line, each written as it comes, under a "# comment"
-    line if comment is not empty."""
+    line, escaped by `one_line`, if comment is not empty."""
     with _opened(sink, "w") as handle:
         if comment:
-            handle.write(f"# {comment}\n")
+            handle.write(f"# {one_line(comment)}\n")
         for row in rows:
             handle.write("\t".join(row) + "\n")
 

@@ -8,7 +8,9 @@ of the wrong shape somewhere in the document. The other files stay intact.
 on exit 2 that line names the corrupted file. The numeric options get the same
 treatment with any float or int, given as "--opt=value" and as "--opt value"
 with the same result, and a model they let `fit` write must be standard JSON
-(no NaN or Infinity). A usage error is one stderr line naming the subcommand.
+(no NaN or Infinity). A usage error is one stderr line naming the subcommand,
+and an error that echoes a grapheme or an argument is one line of printable
+characters, whatever that text holds.
 """
 
 import io
@@ -207,6 +209,26 @@ def test_overlong_json_integer_exits_2(command, role, files):
     assert code == 2 and "JSON" in err and "5000 digits" in err, err
 
 
+# A quoted CSV cell or a JSON string may hold a line break or an escape character.
+@pytest.mark.parametrize("role,row", [
+    ("seed", '"x\ny",p,nan'),
+    ("bundles", ["x\ny", "p"]),
+    ("templates", 'long,"x\ny",a,rː,a,+'),
+    ("adjustments", '"x\ny",p,2'),
+    ("adjustments", '"b\x1b",p,2'),
+], ids=["seed", "bundles", "templates", "adjustments", "adjustments-escape"])
+def test_unprintable_grapheme_error_is_one_printable_line(role, row, files):
+    text = Path(BUNDLED[role]).read_text(encoding="utf-8")
+    if role == "bundles":
+        doc = json.loads(text)
+        doc["flap_trill"].append(row)
+        text = json.dumps(doc, ensure_ascii=False)
+    else:
+        text += row + "\n"
+    code, err = _check("fit", role, text.encode("utf-8"), files)
+    assert code == 2 and len(err.splitlines()) == 1 and err[:-1].isprintable(), repr(err)
+
+
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0, 5e-324]
 any_float = st.sampled_from(EDGE_FLOATS) | st.floats()
 any_int = st.sampled_from([0, -1, 10**308, -(10**308)]) | st.integers()
@@ -256,7 +278,10 @@ def test_numeric_option_exits_cleanly(command, option, values, files):
     ("fit", ["--features", "f.tsv", "--seed", "s.csv", "-o", "m.json", "--lambda", "x"]),
     ("pca", ["--matrix", "m.tsv", "--format", "png", "-o", "out"]),
     ("distance", ["--matrix", "m.tsv", "a", "i", "u"]),
-], ids=["missing-word", "missing-value", "bad-float", "bad-choice", "extra-argument"])
+    ("distance", ["--matrix", "m.tsv", "a", "i", "--x\ny"]),
+    ("align", ["--matrix", "m.tsv", "--m=x\ny", "woldemort", "waldemar"]),
+], ids=["missing-word", "missing-value", "bad-float", "bad-choice", "extra-argument",
+        "unknown-option-with-line-break", "ambiguous-option-with-line-break"])
 def test_usage_error_is_one_line(command, argv):
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
@@ -266,4 +291,4 @@ def test_usage_error_is_one_line(command, argv):
             code = exc.code
     assert code == 2
     assert err.getvalue().startswith(f"phondist {command}: error: ")
-    assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+    assert len(err.getvalue().splitlines()) == 1 and err.getvalue()[:-1].isprintable(), repr(err.getvalue())

@@ -274,9 +274,11 @@ class TestPca:
 
 
 class TestExport:
-    def test_matrix_tsv_round_trip(self, fixture_matrix, tmp_path):
+    # a header with a line break or a lone surrogate is escaped into one comment line
+    @pytest.mark.parametrize("header", ["params: demo", "a\nb", "\ud800"], ids=["plain", "line-break", "surrogate"])
+    def test_matrix_tsv_round_trip(self, fixture_matrix, tmp_path, header):
         path = tmp_path / "m.tsv"
-        export_matrix_tsv(fixture_matrix, path, header="params: demo")
+        export_matrix_tsv(fixture_matrix, path, header=header)
         again = pd.load_reference_matrix(path)
         assert np.max(np.abs(again.values - fixture_matrix.values)) < 1e-6
 

@@ -1,4 +1,5 @@
-"""Text input: byte-order marks, header names and the file's own line numbers.
+"""Text input: byte-order marks, header names and the file's own line numbers;
+text output: the one-line rule.
 
 A file that starts with a UTF-8 byte-order mark, as some editors write it,
 must load exactly as the same file without one, whether the loader is given
@@ -83,3 +84,10 @@ def test_empty_column_name_rejected(load, text):
 def test_csv_rows_carry_file_line_numbers():
     text = '# comment\n\na,"b\nc",1\n d , e ,2\n'
     assert textio.read_csv(io.StringIO(text), 3) == [(4, ["a", "b\nc", "1"]), (5, ["d", "e", "2"])]
+
+
+def test_one_line_keeps_printable_text_and_escapes_the_rest():
+    kept = "t\u0361s i\u0318 \u2205 \u2212"  # t͡s i̘ ∅ −: a tie bar, a combining mark, the null sign, a minus
+    assert textio.one_line(kept) == kept
+    escaped = "a\nb\rc\td\x85e\u2028f\x1bg\ud800"
+    assert textio.one_line(escaped) == "a\\nb\\rc\\td\\x85e\\u2028f\\x1bg\\ud800"
