@@ -51,7 +51,7 @@ class Segment:
 
 
 class Inventory:
-    """Immutable grapheme → Segment map over a fixed feature list."""
+    """Immutable grapheme → Segment map over a fixed feature list; every name is printable."""
 
     def __init__(self, feature_names: Sequence[str], rows: Iterable[tuple[str, FeatureVector]],
                  source: str = "inventory"):
@@ -78,6 +78,8 @@ class Inventory:
             )
         if not segments:
             raise InputError("feature table contains no segment rows")
+        if unprintable := [name for name in (*names, *segments) if not name.isprintable()]:
+            raise InputError(f"feature or segment name {unprintable[0]!r} is not printable")
         if NULL_GRAPHEME not in segments:
             segments[NULL_GRAPHEME] = Segment(
                 grapheme=NULL_GRAPHEME,

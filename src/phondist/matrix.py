@@ -21,7 +21,7 @@ _SYMMETRY_TOL = 1e-9
 
 
 class DistanceMatrix:
-    """Symmetric pairwise distances over an ordered segment list."""
+    """Symmetric pairwise distances over an ordered segment list of printable names."""
 
     def __init__(self, segments: Iterable[str], values: np.ndarray):
         self.segments = tuple(segments)
@@ -33,6 +33,8 @@ class DistanceMatrix:
             raise InputError("duplicate graphemes in matrix header")
         if "" in self.segments:
             raise InputError("empty segment name in matrix header")
+        if unprintable := [g for g in self.segments if not g.isprintable()]:
+            raise InputError(f"segment name {unprintable[0]!r} in matrix header is not printable")
         if not np.all(np.isfinite(values)):
             raise InputError("matrix contains non-finite entries")
         if np.any(values < 0.0) or np.any(values > 1.0):
@@ -178,6 +180,8 @@ _SVG = """<?xml version="1.0" encoding="UTF-8"?>
 <text x="20" y="300" font-size="14" text-anchor="middle" transform="rotate(-90 20 300)">PC2</text>
 {points}</svg>
 """
+# A matrix's names are printable, so they are XML character data once "&", "<" and ">" are entities.
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def export_pca_svg(result: PcaResult, sink: str | Path | TextIO, header: str = "") -> None:
@@ -197,13 +201,7 @@ def export_pca_svg(result: PcaResult, sink: str | Path | TextIO, header: str = "
     comment = f"<!-- {re.sub('-(?=-|$)', '- ', textio.one_line(header))} -->\n" if header else ""
     points = "".join(
         f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" fill="#1f6fb2"/>\n<text class="seg-label" '
-        f'x="{x + 6:.1f}" y="{y - 6:.1f}" font-size="16">{_xml_escape(g)}</text>\n'
+        f'x="{x + 6:.1f}" y="{y - 6:.1f}" font-size="16">{g.translate(_XML_TEXT)}</text>\n'
         for g, x, y in zip(result.segments, px, py)
     )
     textio.write_text(sink, _SVG.format(comment=comment, points=points))
-
-
-def _xml_escape(text: str) -> str:
-    """text as XML character data, each character XML 1.0 cannot hold as its backslash escape."""
-    text = re.sub("[^\t\n\r -\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]", lambda m: ascii(m[0])[1:-1], text)
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")

@@ -46,9 +46,9 @@ class LinearModel:
     feature_fingerprint: str
 
     def __post_init__(self) -> None:
-        # Predictors are saved by name and the fingerprint joins the names with tabs.
-        if len(set(self.feature_names)) != len(self.feature_names) or "\t" in "".join(self.feature_names):
-            raise InputError("model feature names must be distinct and contain no tab")
+        # Predictors are saved and printed by name, and the fingerprint joins the names with tabs.
+        if len(set(self.feature_names)) != len(self.feature_names) or not all(map(str.isprintable, self.feature_names)):
+            raise InputError("model feature names must be distinct and printable, so contain no tab")
         if self.feature_fingerprint != fingerprint_features(self.feature_names):
             raise InputError("model fingerprint does not match its feature_names")
         if len(self.coefficients) != (expected := 2 * len(self.feature_names)):

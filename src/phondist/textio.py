@@ -1,13 +1,13 @@
 """Reading and writing the package's text files.
 
-Every file the package reads or writes is UTF-8 text, given either as a path
-or as an already-open handle; either may start with a byte-order mark. Readers
-skip blank lines and "#" comments, hand out stripped, NFC-normalized cells
-with the file's own line numbers, and raise InputError with a one-line message
-for a file that is not valid UTF-8, CSV or JSON or whose rows have the wrong
-width; the CLI puts the file's name in front of it, as it does for every input
-error a file causes. `one_line` is the one rule for text that leaves the
-package as a single line: every table comment, SVG comment and CLI line.
+Every file the package reads or writes is UTF-8 text, given as a path or an
+open handle, and may start with a byte-order mark. Readers skip blank lines
+and "#" comments, hand out stripped, NFC-normalized cells with the file's own
+line numbers, and raise a one-line InputError for a file that is not valid
+UTF-8, CSV or JSON or whose rows have the wrong width; the CLI puts the file's
+name in front of it. `one_line` escapes paths, arguments and headers wherever
+they leave the package as one line (table and SVG comments, CLI lines); data
+needs no escaping, as Inventory and DistanceMatrix refuse unprintable names.
 """
 
 import csv

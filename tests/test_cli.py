@@ -145,6 +145,18 @@ class TestFit:
         assert code == 2
         assert len(err.splitlines()) == 1 and "--templates" in err
 
+    def test_escape_character_in_a_feature_name_exit_2(self, tmp_path, capsys):
+        # Predictor names carry feature names to stdout, so an ANSI escape must not get there.
+        features = tmp_path / "features.tsv"
+        features.write_text(Path(DATA["features"]).read_text(encoding="utf-8").replace(
+            "constrictedGlottis", "constricted\x1b[31mGlottis"), encoding="utf-8")
+        out = tmp_path / "m.json"
+        assert run("fit", "--features", str(features), "--seed", DATA["seed"], "-o", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (f"phondist fit: error: {features}: feature or segment name "
+                                "'constricted\\x1b[31mGlottis' is not printable\n")
+
 
 class TestMatrix:
     def test_dimensions_with_null(self, demo_matrix_file):
@@ -246,6 +258,20 @@ class TestDistance:
         assert run("distance", "--matrix", str(matrix), "a", "b") == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"phondist distance: error: {_escaped(matrix)}: row ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["pca", "-o", "pca.tsv"],
+    ["align", "a", "a"],
+    ["distance", "a", "a"],
+], ids=["pca", "align", "distance"])
+def test_unprintable_matrix_grapheme_exit_2_one_line(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("m.tsv").write_text("segment\ta\t\x01\na\t0\n\x01\t0.5\t0\n", encoding="utf-8")
+    assert run(argv[0], "--matrix", "m.tsv", *argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not Path("pca.tsv").exists()
+    assert captured.err == f"phondist {argv[0]}: error: m.tsv: segment name '\\x01' in matrix header is not printable\n"
 
 
 class TestAlign:
@@ -427,14 +453,15 @@ class TestPca:
         assert f"matrix={tmp_path / 'm'}\\x01x.tsv k=2" in comment.data
         assert len(doc.getElementsByTagName("circle")) == 10
 
-    def test_svg_for_control_character_grapheme_is_xml(self, tmp_path):
+    def test_svg_for_control_character_grapheme_is_refused(self, tmp_path, capsys):
+        # A matrix's names are printable, so no label needs escaping beyond XML's entities.
         matrix = tmp_path / "m.tsv"
         matrix.write_text("segment\ta\t\x01\na\t0\n\x01\t0.5\t0\n", encoding="utf-8")
         out = tmp_path / "scatter.svg"
-        assert run("pca", "--matrix", str(matrix), "-k", "2", "--format", "svg", "-o", str(out)) == 0
-        labels = [n.firstChild.data for n in xml.dom.minidom.parse(str(out)).getElementsByTagName("text")
-                  if n.getAttribute("class") == "seg-label"]
-        assert labels == ["a", "\\x01"]
+        assert run("pca", "--matrix", str(matrix), "-k", "2", "--format", "svg", "-o", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"phondist pca: error: {matrix}: segment name '\\x01' in matrix header is not printable\n")
+        assert not out.exists()
 
     def test_input_error_at_a_path_with_escape_character_one_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"

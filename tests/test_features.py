@@ -97,6 +97,22 @@ class TestLoadFeatureTable:
         with pytest.raises(InputError, match="empty segment name"):
             pd.Inventory(("f",), [("", (True,)), ("a", (False,))])
 
+    @pytest.mark.parametrize("features,grapheme,name", [
+        (("constricted\x1b[31mGlottis",), "p", "'constricted\\\\x1b\\[31mGlottis'"),
+        (("a\tb",), "p", "'a\\\\tb'"),
+        (("f",), "p\x01", "'p\\\\x01'"),
+        (("f",), "x\ny", "'x\\\\ny'"),
+        (("f",), "t\u200ds", "'t\\\\u200ds'"),  # a format character (ZERO WIDTH JOINER)
+        (("f",), "\ud800", "'\\\\ud800'"),
+    ], ids=["escape-in-feature", "tab-in-feature", "control", "line-break", "format", "surrogate"])
+    def test_unprintable_name_errors(self, features, grapheme, name):
+        with pytest.raises(InputError, match=f"^feature or segment name {name} is not printable$"):
+            pd.Inventory(features, [("a", (False,)), (grapheme, (True,))])
+
+    def test_combining_marks_tie_bars_and_null_are_printable(self):
+        inv = pd.Inventory(("f",), [("t\u0361s", (True,)), ("i\u0318", (False,)), ("∅", (False,))])
+        assert inv.graphemes == ("t\u0361s", "i\u0318", "∅")
+
 
 class TestGetSegment:
     def test_lookup(self):

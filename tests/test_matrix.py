@@ -66,6 +66,14 @@ class TestDistanceMatrixInvariants:
         with pytest.raises(InputError, match="empty segment name"):
             DistanceMatrix(["", "a"], values)
 
+    @pytest.mark.parametrize("grapheme", ["\x01", "a\nb", "\x1b[31m", "\ud800", "\ufffe"],
+                             ids=["control", "line-break", "escape", "surrogate", "noncharacter"])
+    def test_rejects_unprintable_grapheme(self, grapheme):
+        values = np.array([[0.0, 0.5], [0.5, 0.0]])
+        with pytest.raises(InputError, match="in matrix header is not printable") as info:
+            DistanceMatrix(["a", grapheme], values)
+        assert str(info.value).isprintable()
+
 
 class TestBuildMatrix:
     def test_dimensions_without_and_with_null(self, demo_model, demo_inventory):

@@ -255,9 +255,11 @@ class TestModelInvariants:
         # ("a\tb",) shares its fingerprint with the two features ("a", "b")
         (dict(feature_names=("a\tb",), feature_fingerprint=fingerprint_features(("a", "b")),
               coefficients=(0.0,) * 2), "contain no tab"),
+        (dict(feature_names=("a\x1bb",), feature_fingerprint=fingerprint_features(("a\x1bb",)),
+              coefficients=(0.0,) * 2), "distinct and printable"),
     ], ids=["negative-lambda", "nan-lambda", "inf-lambda", "minus-inf-lambda", "fingerprint",
             "short", "long", "empty", "nan-intercept", "inf-intercept", "inf-coefficient",
-            "nan-coefficient", "duplicate-names", "tab-in-name"])
+            "nan-coefficient", "duplicate-names", "tab-in-name", "escape-in-name"])
     def test_invalid_model_errors(self, changes, match):
         with pytest.raises(InputError, match=match):
             model_of(mini_inventory(), **changes)
@@ -271,7 +273,7 @@ class TestModelInvariants:
         try:
             m = LinearModel(intercept, coefficients, lam, tuple(names), fingerprint_features(names))
         except InputError:
-            assert (len(set(names)) < len(names) or "\t" in "".join(names) or lam < 0
+            assert (len(set(names)) < len(names) or not all(map(str.isprintable, names)) or lam < 0
                     or not all(map(math.isfinite, (lam, intercept, *coefficients))))
             return
         sink = io.StringIO()
