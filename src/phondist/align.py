@@ -112,13 +112,15 @@ class Alignment:
 class CognancyMatrix:
     """All-pairs scores of a word list: a read-only (n, n) float64 array, NaN on
     the diagonal. A list of lists is converted, None becoming NaN; an array is
-    taken without a copy."""
+    taken without a copy. Words are written unescaped, so each must be printable."""
 
     words: tuple[str, ...]
     scores: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "words", tuple(self.words))
+        if unprintable := [w for w in self.words if not w.isprintable()]:
+            raise InputError(f"word {unprintable[0]!r} is not printable")
         scores = np.asarray(self.scores, dtype=np.float64).view()  # only the view turns read-only
         if scores.shape != (n := len(self.words),) * 2:
             raise InputError(f"cognancy scores have shape {scores.shape}, expected ({n}, {n}) for {n} words")
@@ -160,7 +162,7 @@ def _indices(s: ScoringScheme, word: "str | Sequence[str]") -> list[int]:
     all-gap alignment).
     """
     if isinstance(word, str):  # every token is in the index
-        return list(map(s.matrix._index.__getitem__, tokenize(word, s.matrix._index))) if word.strip() else []
+        return list(map(s.matrix._index.__getitem__, tokenize(word, s.matrix._alphabet))) if word.strip() else []
     return [s.matrix.index(t) for t in word]
 
 

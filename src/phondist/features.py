@@ -8,7 +8,7 @@ scoring can price sound creation and deletion.
 import re
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 from typing import TextIO
 
@@ -62,33 +62,23 @@ class Inventory:
         self.feature_names: tuple[str, ...] = names
         self.fingerprint = fingerprint_features(names)
 
-        segments: dict[str, Segment] = {}
+        table: dict[str, FeatureVector] = {}
         for grapheme, values in rows:
             if not grapheme:
                 raise InputError("empty segment name")
-            if grapheme in segments:
+            if grapheme in table:
                 raise InputError(f"duplicate segment row for {grapheme!r}")
-            features = tuple(values)
-            if len(features) != len(names):
+            if len(features := tuple(values)) != len(names):
                 raise InputError(f"segment {grapheme!r}: expected {len(names)} feature values, got {len(features)}")
-            segments[grapheme] = Segment(
-                grapheme=grapheme,
-                features=features,
-                system_fingerprint=self.fingerprint,
-            )
-        if not segments:
+            table[grapheme] = features
+        if not table:
             raise InputError("feature table contains no segment rows")
-        if unprintable := [name for name in (*names, *segments) if not name.isprintable()]:
+        if unprintable := [name for name in (*names, *table) if not name.isprintable()]:
             raise InputError(f"feature or segment name {unprintable[0]!r} is not printable")
-        if NULL_GRAPHEME not in segments:
-            segments[NULL_GRAPHEME] = Segment(
-                grapheme=NULL_GRAPHEME,
-                features=(False,) * len(names),
-                system_fingerprint=self.fingerprint,
-            )
-        self._segments = segments
-        self._row_of = {g: i for i, g in enumerate(segments)}
-        self._features = np.array([s.features for s in segments.values()], dtype=bool)
+        table.setdefault(NULL_GRAPHEME, (False,) * len(names))
+        self._segments = {g: Segment(g, features, self.fingerprint) for g, features in table.items()}
+        self._row_of = {g: i for i, g in enumerate(table)}
+        self._features = np.array(list(table.values()), dtype=bool)
 
     @property
     def null_segment(self) -> Segment:
@@ -121,15 +111,6 @@ def fingerprint_features(names: Sequence[str]) -> str:
     return _sha256("\t".join(names).encode("utf-8")).hexdigest()
 
 
-class GraphemeIndex(dict):
-    """A grapheme → index map that compiles its tokenizing pattern once, on first
-    use, so that tokenizing a list against it builds the pattern once, not per word."""
-
-    @cached_property
-    def pattern(self) -> re.Pattern:
-        return _pattern(frozenset(self))
-
-
 @lru_cache(maxsize=16)
 def _pattern(graphemes: frozenset[str]) -> re.Pattern:
     # Longest first, so the first alternative that matches is the longest match; an
@@ -141,15 +122,16 @@ def tokenize(word: str, graphemes: Collection[str]) -> list[str]:
     """Greedy leftmost-longest segmentation of `word` over `graphemes`, after
     `textio.nfc`; no other normalization or diacritic composition is attempted.
 
-    `graphemes` is a set or mapping, matched as one compiled alternation, longest
-    first (a GraphemeIndex keeps its own; other collections share a small cache).
+    `graphemes` is a set or mapping, matched as one alternation, longest first,
+    compiled once per grapheme set and cached. A frozenset is the cache key as it
+    is; any other collection is copied into one on every call.
     Raises TokenizeError (with the offending offset) when no grapheme matches
     at some position. Deterministic for a fixed grapheme set.
     """
     word = textio.nfc(word)
     if not word:
         raise InputError("empty word")
-    pattern = graphemes.pattern if isinstance(graphemes, GraphemeIndex) else _pattern(frozenset(graphemes))
+    pattern = _pattern(frozenset(graphemes))
     tokens = pattern.findall(word)
     if sum(map(len, tokens)) < len(word):  # findall skipped what no grapheme matches
         pos = 0

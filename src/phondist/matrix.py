@@ -13,7 +13,7 @@ import numpy as np
 
 from . import textio
 from .errors import InputError, UnknownSegmentError
-from .features import GraphemeIndex, Inventory
+from .features import Inventory
 # predict_distance is unused here: perfbench/worker.py (traced_targets) patches matrix.predict_distance.
 from .model import LinearModel, _same_system, encode_pairs, predict_distance, predict_rows
 
@@ -44,7 +44,8 @@ class DistanceMatrix:
         if not np.array_equal(values, values.T):
             raise InputError("matrix is not symmetric")
         self.values = values
-        self._index = GraphemeIndex({g: i for i, g in enumerate(self.segments)})
+        self._index = {g: i for i, g in enumerate(self.segments)}
+        self._alphabet = frozenset(self.segments)  # tokenize's cache key, hashed once
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -68,6 +69,10 @@ class PcaResult:
     eigenvalues: np.ndarray  # (k,), nonincreasing, nonnegative
     coordinates: np.ndarray  # (n_segments, k)
     segments: tuple[str, ...]
+
+    def __post_init__(self):  # the exports write the names unescaped, as they do a DistanceMatrix's
+        if unprintable := [g for g in self.segments if not g.isprintable()]:
+            raise InputError(f"segment name {unprintable[0]!r} in PCA result is not printable")
 
 
 def build_matrix(m: LinearModel, inv: Inventory, include_null: bool = False) -> DistanceMatrix:

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import phondist as pd
-from phondist import align
+from phondist import align, features, textio
 from phondist.align import (
     CognancyMatrix,
     ScoringScheme,
@@ -436,6 +436,21 @@ class TestCognancyMatrix:
             CognancyMatrix(("a", "b", "c"), [[None, 1.0], [1.0, None]])
         with pytest.raises(InputError, match=r"shape \(2, 3\)"):
             CognancyMatrix(("a", "b"), np.zeros((2, 3)))
+
+    def test_an_unprintable_word_is_refused(self, scheme):
+        # "a\t" tokenizes, as words are stripped first, but its tab would split the TSV header
+        with pytest.raises(InputError, match=r"^word 'a\\t' is not printable$"):
+            pd.cognancy_matrix(scheme, ["a\t", "i"])
+        with pytest.raises(InputError, match=r"^word 'b\\x1b\[31m' is not printable$"):
+            CognancyMatrix(("a", "b\x1b[31m"), np.zeros((2, 2)))
+
+    def test_a_word_list_compiles_one_pattern(self, demo_matrix):
+        words = [text.strip() for _, text in textio.read_lines(pd.bundled_path("wordlists/test1.txt"))]
+        s = ScoringScheme(matrix=demo_matrix)
+        features._pattern.cache_clear()
+        pd.cognancy_matrix(s, words)
+        pd.cognancy_matrix(s, words)
+        assert features._pattern.cache_info().misses == 1
 
     def test_memory_is_the_score_array_and_a_row_of_output(self, demo_matrix, tmp_path, monkeypatch):
         """`phondist cognates` on 600 words holds the (n, n) float64 scores, the

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import phondist as pd
 from phondist.errors import InputError, TokenizeError, UnknownSegmentError
-from phondist.features import GraphemeIndex, fingerprint_features, tokenize
+from phondist.features import fingerprint_features, tokenize
 
 from oracles import all_segmentations, greedy_tokenize, leftmost_longest
 
@@ -114,6 +114,26 @@ class TestLoadFeatureTable:
         assert inv.graphemes == ("t\u0361s", "i\u0318", "∅")
 
 
+class TestOneTable:
+    """An Inventory's segments, feature rows and fingerprint are read from one table."""
+
+    NULL_ROW_TABLE = "segment\tvoice\tnasal\np\t-\t-\n∅\t+\t-\nm\t+\t+\n"  # ∅ with its own row
+
+    @pytest.mark.parametrize("table", [None, NULL_ROW_TABLE], ids=["bundled", "null-row"])
+    def test_segments_match_feature_rows_and_fingerprint(self, table):
+        inv = pd.load_feature_table(pd.bundled_path("features.tsv") if table is None else io.StringIO(table))
+        for g in inv.graphemes:
+            segment = inv.get_segment(g)
+            assert segment.features == tuple(inv.feature_rows([g])[0].tolist())
+            assert segment.system_fingerprint == inv.fingerprint
+
+    def test_a_listed_null_keeps_its_row(self):
+        inv = pd.load_feature_table(io.StringIO(self.NULL_ROW_TABLE))
+        assert inv.graphemes == ("p", "∅", "m")
+        assert inv.null_segment.features == (True, False)
+        assert inv.feature_rows(["∅"]).tolist() == [[True, False]]
+
+
 class TestGetSegment:
     def test_lookup(self):
         inv = small_inventory()
@@ -150,7 +170,7 @@ class TestParseIpa:
 
     def test_an_empty_grapheme_is_never_tried(self):
         # it would match at every offset without advancing, so tokenize would never return
-        for graphemes in ({"", "a"}, GraphemeIndex({"": 0, "a": 1})):
+        for graphemes in ({"", "a"}, frozenset({"", "a"})):
             assert tokenize("aa", graphemes) == ["a", "a"]
             with pytest.raises(TokenizeError) as exc:
                 tokenize("ab", graphemes)
@@ -228,9 +248,8 @@ class TestCompiledPatternMatchesGreedyLoop:
             pieces |= st.sampled_from(sorted(graphemes))
         word = "".join(data.draw(st.lists(pieces, min_size=1, max_size=8)))
         expected = _outcome(greedy_tokenize, word, graphemes)
-        index = GraphemeIndex({g: k for k, g in enumerate(sorted(graphemes))})
         assert _outcome(tokenize, word, graphemes) == expected
-        assert _outcome(tokenize, word, index) == expected
+        assert _outcome(tokenize, word, frozenset(graphemes)) == expected
 
 
 class TestRender:

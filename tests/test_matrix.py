@@ -329,6 +329,12 @@ class TestExport:
         comment = next(n for n in doc.documentElement.childNodes if n.nodeType == n.COMMENT_NODE)
         assert comment.data == " a\\x00b\\x1b\\ud800\\ufffe&<c>- -  "
 
+    @pytest.mark.parametrize("grapheme", ["\x01", "a\nb", "\x1b[31m"], ids=["control", "line-break", "escape"])
+    def test_a_pca_result_refuses_an_unprintable_segment(self, grapheme):
+        with pytest.raises(InputError, match="in PCA result is not printable") as info:
+            PcaResult(np.eye(2), np.ones(2), np.array([[0.0, 1.0], [1.0, 0.0]]), ("a", grapheme))
+        assert str(info.value).isprintable()
+
     def test_svg_needs_two_components(self, fixture_matrix, tmp_path):
         result = pd.pca(fixture_matrix, 1)
         with pytest.raises(InputError):
