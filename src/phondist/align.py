@@ -58,8 +58,13 @@ Column = tuple[str | None, str | None]  # (left token, right token), None = gap
 # Traceback moves, one byte per DP cell. _DIAG and _UP are 0 and 1, so that
 # `_align` writes its first pick as a boolean straight into the table.
 # _STOP ends a local alignment (the cell was floored) and marks the origin of a
-# global one; `_align` writes it in cell (0, 0) and a local table's boundary.
+# global one. `_align` writes it at setup, with the other boundary moves, into
+# cell (0, 0), and in local mode into row 0 and column 0; its fill writes the rest.
 _DIAG, _UP, _LEFT, _STOP = 0, 1, 2, 3
+
+# The local floor, as a 0-d array: numpy converts a Python float operand on every call.
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
 
 # DP cells per cognancy chunk, pairs x (longest left + right length + 1); its working arrays hold about
 # 6 numbers per cell. The kernel's pairs/s peaks at 65,536-98,304 cells and falls beyond, as buffers outgrow cache.
@@ -172,18 +177,25 @@ def _align(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> Align
 
     Diagonal buffers are indexed by i, so cell (i, d-i) reads cell i-1 of the
     two previous diagonals (diagonal and up moves) and cell i of the last one
-    (left move). Each diagonal is a few numpy calls on slices of buffers
-    allocated once: besides the move table, O(n+m) scores and one K×m table of
-    the right word's similarities, K the number of matrix segments (about
-    0.5 MB for a 1,000-segment word and 63 segments). Moves come from strict
-    `>` masks in the tie order, scores from `np.maximum` under the exactness
-    premise (module docstring).
+    (left move). The move table stores the cells diagonal after diagonal, each
+    ordered by i, so a diagonal's moves are one contiguous slice; its boundary
+    moves are written before the fill. Each diagonal is a few numpy calls on
+    slices of buffers allocated once: besides the move table and its n+m+1
+    diagonal offsets, O(n+m) scores and one K×m table of the right word's
+    similarities, K the number of matrix segments (about 0.5 MB for a
+    1,000-segment word and 63 segments). Moves come from strict `>` masks in the
+    tie order, scores from `np.maximum` under the exactness premise (module
+    docstring).
     """
     n, m = len(li), len(ri)
-    width = m + 1
-    table = np.zeros((n + 1) * width, dtype=np.uint8)  # cell (i, j) at i·width + j; the fill writes every interior cell
-    table[:width], table[::width] = (_STOP, _STOP) if local else (_LEFT, _UP)
+    # Cell (i, j) at at[i + j] + i: diagonal after diagonal, each ordered by i. Diagonal d
+    # holds cells max(0, d-m) .. min(n, d), so at[d] - at[d-1] = min(d, n+1) - max(0, d-m).
+    d = np.arange(n + m + 1)
+    at = (np.minimum(d, n + 1) + np.minimum(d, m) - d).cumsum()
+    table = np.empty((n + 1) * (m + 1), dtype=np.uint8)  # the fill writes every interior cell
+    table[at[:m + 1]], table[at[:n + 1] + d[:n + 1]] = (_STOP, _STOP) if local else (_LEFT, _UP)  # row 0, column 0
     table[0] = _STOP
+    up = table.view(np.bool_)  # sliced per diagonal: cheaper than a view of each slice
     lidx, ridx = np.array(li, dtype=np.intp), np.array(ri, dtype=np.intp)
     gl, grrev = s._gap_array[lidx], s._gap_array[ridx[::-1]]  # cell (i, d-i) reads ri[d-i-1], at m-d+i in grrev
     if not local:  # the gaps added up left to right, as _batch_scores adds them
@@ -211,20 +223,21 @@ def _align(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> Align
             if lo <= hi:
                 k, r = hi - lo + 1, m - d
                 h, c, p = cur[lo:hi + 1], cand[:k], pick[:k]
-                mv = table[d + lo * m:d + hi * m + 1:m]  # cells (lo, d-lo) .. (hi, d-hi)
+                o = at.item(d)
+                mv = table[o + lo:o + hi + 1]  # cells (lo, d-lo) .. (hi, d-hi), contiguous
                 sims[d:].take(base[lo - 1:hi], out=c, mode="clip")
                 np.add(older[lo - 1:hi], c, out=h)
                 np.add(last[lo - 1:hi], gl[lo - 1:hi], out=c)
-                np.greater(c, h, out=mv.view(np.bool_))  # _DIAG, or _UP where up beat it
+                np.greater(c, h, out=up[o + lo:o + hi + 1])  # _DIAG, or _UP where up beat it
                 np.maximum(h, c, out=h)
                 np.add(last[lo:hi + 1], grrev[r + lo:r + hi + 1], out=c)
                 np.greater(c, h, out=p)
                 np.maximum(h, c, out=h)
-                np.copyto(mv, _LEFT, where=p)
+                np.putmask(mv, p, _LEFT)
                 if local:
-                    np.less_equal(h, 0.0, out=p)
-                    np.copyto(mv, _STOP, where=p)
-                    np.maximum(h, 0.0, out=h)
+                    np.less_equal(h, _ZERO, out=p)
+                    np.putmask(mv, p, _STOP)
+                    np.maximum(h, _ZERO, out=h)
                     # the first best cell in row-major order: first on this diagonal,
                     # then against earlier diagonals by (i, j)
                     a = int(h.argmax())
@@ -234,9 +247,9 @@ def _align(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> Align
             older, last, cur = last, cur, older
     score, i, j = (score, i, j) if local else (last.item(n), n, m)
     del sims, base, older, last, cur  # free before the traceback builds its columns
-    moves, seg = table.data, s.matrix.segments
+    moves, at, seg = table.data, at.tolist(), s.matrix.segments
     columns: list[Column] = []
-    while (which := moves[i * width + j]) != _STOP:
+    while (which := moves[at[i + j] + i]) != _STOP:
         if which == _DIAG:
             i -= 1
             j -= 1
@@ -355,7 +368,7 @@ def _batch_scores(sim, gaps, padded, lengths, left, right, local: bool) -> np.nd
         np.add(last[1:], gl[i, d:], out=move)  # the up move
         np.maximum(cur[1:], move, out=cur[1:])
         if local:  # floored before the left-gap chain; row[0] stays 0.0 in both buffers
-            np.maximum(cur[1:], 0.0, out=cur[1:])
+            np.maximum(cur[1:], _ZERO, out=cur[1:])
         else:
             np.add(last[0], gl[i, d:], out=cur[0])
         for a, b, gj in zip(cur[:-1], cur[1:], g):  # the left-gap chain runs along the row

@@ -346,11 +346,46 @@ class TestHardTables:
         assert_aligners_match_the_oracles(s, [alphabet[k % size] for k in left], [alphabet[k % size] for k in right])
 
 
+def poisoned(empty):
+    """np.empty whose buffers hold 0x7F bytes, NaN where they hold floats; the dtypes asked for go to `.dtypes`."""
+
+    def poisoned_empty(shape, dtype=float, *args, **kwargs):
+        buffer = empty(shape, dtype, *args, **kwargs)
+        buffer.reshape(-1).view(np.uint8)[:] = 0x7F
+        if buffer.dtype.kind == "f":
+            buffer[...] = np.nan
+        poisoned_empty.dtypes.append(buffer.dtype)
+        return buffer
+
+    poisoned_empty.dtypes = []
+    return poisoned_empty
+
+
+@pytest.mark.parametrize("params", HARD_SCHEMES, ids=repr)
+@pytest.mark.parametrize("gap_mode", ["constant", "null_column"])
+def test_no_move_is_read_before_it_is_written(demo_matrix, params, gap_mode, monkeypatch):
+    """The move table comes from np.empty, and the fill writes its boundary at
+    setup and every interior cell once: poisoned buffers change no alignment."""
+    s = ScoringScheme(matrix=demo_matrix, gap_mode=gap_mode, **params)
+    shapes = [(0, 4), (1, 1), (2, 9), (7, 3), (12, 12), (25, 40), (60, 9), (33, 31),
+              (1, 30), (30, 1), (300, 2), (2, 300), (6, 0)]
+    pairs = [tie_prone_pair(demo_matrix, n, m, seed) for seed, (n, m) in enumerate(shapes)]
+    aligners = ((pd.global_align, oracles.global_align), (pd.local_align, oracles.local_align))
+    want = [reference(s, left, right) for left, right in pairs for _, reference in aligners]
+    empty = poisoned(np.empty)
+    monkeypatch.setattr(np, "empty", empty)
+    got = [aligner(s, left, right) for left, right in pairs for aligner, _ in aligners]
+    monkeypatch.undo()
+    assert np.dtype(np.uint8) in empty.dtypes  # the move table was poisoned
+    assert [(a.columns, repr(a.score)) for a in got] == [(a.columns, repr(a.score)) for a in want]
+
+
 @pytest.mark.parametrize("aligner", [pd.global_align, pd.local_align])
 def test_anti_diagonal_fill_memory_is_the_move_table_and_linear_buffers(fixture_matrix, aligner):
-    """Besides the (n+1)(m+1)-byte move table, the anti-diagonal fill holds O(n+m)
-    scores and one K×m table of the right word's similarities, K the number of
-    matrix segments; a per-cell float table (8·n·m bytes) would not fit the bound."""
+    """Besides the (n+1)(m+1)-byte move table, stored diagonal after diagonal, and
+    its n+m+1 integer diagonal offsets, the anti-diagonal fill holds O(n+m) scores
+    and one K×m table of the right word's similarities, K the number of matrix
+    segments; a per-cell float table (8·n·m bytes) would not fit the bound."""
     n = m = 300
     s = ScoringScheme(matrix=fixture_matrix)
     rng = random.Random(n)
