@@ -232,6 +232,8 @@ def cmd_pca(args) -> None:
 def main(argv: "list[str] | None" = None) -> int:
     """Run one subcommand and return its exit code: 0 on success or once stdout's reader
     has gone, 2 for a usage or input error, 1 for a numerical failure or lack of memory."""
+    if hasattr(sys.stdout, "reconfigure"):  # not on an in-process stand-in such as a StringIO
+        sys.stdout.reconfigure(encoding="utf-8")  # as every file is, whatever the locale
     args, unknown = build_parser().parse_known_args(argv)
     try:
         if unknown:

@@ -17,15 +17,6 @@ import numpy as np
 from . import textio
 from .errors import InputError, TokenizeError, UnknownSegmentError
 
-# CPython's built-in SHA-256, as random.py takes its SHA-512: hashlib loads OpenSSL.
-try:
-    from _sha2 import sha256 as _sha256  # Python 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
-    except ImportError:
-        from hashlib import sha256 as _sha256
-
 NULL_GRAPHEME = "∅"
 
 # Suprasegmental columns are not phoneme-level properties and are dropped
@@ -40,11 +31,12 @@ _CELL_VALUES = {"+": True, "-": False, "0": False, "−": False}
 
 @dataclass(frozen=True)
 class Segment:
-    """One speech sound: an IPA grapheme plus its binary feature values."""
+    """One speech sound: an IPA grapheme plus its binary feature values, under the
+    feature names of the Inventory that made it (one tuple, shared by its segments)."""
 
     grapheme: str
     features: FeatureVector
-    system_fingerprint: str
+    feature_names: tuple[str, ...]
 
     def __repr__(self) -> str:
         return f"Segment({self.grapheme!r})"
@@ -60,7 +52,6 @@ class Inventory:
         if len(set(names)) != len(names):
             raise InputError("duplicate feature names in table header")
         self.feature_names: tuple[str, ...] = names
-        self.fingerprint = fingerprint_features(names)
 
         table: dict[str, FeatureVector] = {}
         for grapheme, values in rows:
@@ -76,7 +67,7 @@ class Inventory:
         if unprintable := [name for name in (*names, *table) if not name.isprintable()]:
             raise InputError(f"feature or segment name {unprintable[0]!r} is not printable")
         table.setdefault(NULL_GRAPHEME, (False,) * len(names))
-        self._segments = {g: Segment(g, features, self.fingerprint) for g, features in table.items()}
+        self._segments = {g: Segment(g, features, names) for g, features in table.items()}
         self._row_of = {g: i for i, g in enumerate(table)}
         self._features = np.array(list(table.values()), dtype=bool)
 
@@ -104,11 +95,6 @@ class Inventory:
             return self._features[[self._row_of[g] for g in graphemes]]
         except KeyError as exc:
             raise UnknownSegmentError(exc.args[0], self.source) from None
-
-
-def fingerprint_features(names: Sequence[str]) -> str:
-    """SHA-256 of the tab-joined feature names, UTF-8 encoded, in hex."""
-    return _sha256("\t".join(names).encode("utf-8")).hexdigest()
 
 
 @lru_cache(maxsize=16)

@@ -78,11 +78,11 @@ class PcaResult:
 def build_matrix(m: LinearModel, inv: Inventory, include_null: bool = False) -> DistanceMatrix:
     """Materialize all pairwise model distances over an inventory.
 
-    The fingerprint is checked once; the upper-triangle pairs are encoded and
+    The feature names are compared once; the upper-triangle pairs are encoded and
     predicted in one call each and mirrored, so symmetry is exact regardless
     of floating-point details.
     """
-    _same_system("the model and the inventory", m.feature_fingerprint, inv.fingerprint)
+    _same_system("the model and the inventory", m.feature_names, inv.feature_names)
     segments = [s for s in inv.graphemes if s != inv.null_segment.grapheme]
     if include_null:
         segments.append(inv.null_segment.grapheme)

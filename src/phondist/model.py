@@ -1,6 +1,7 @@
 """Symmetric pair encoding and the ridge-stabilized least-squares distance model.
 
-README's "The model" explains the encoding and the solver. A LinearModel
+README's "The model" explains the encoding and the solver. A model belongs
+to the feature system its feature_names name, in their order. A LinearModel
 checks its own invariants, however it was made, so load_model only parses.
 Models are saved and loaded as UTF-8 JSON through textio.
 """
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import textio
 from .errors import InputError, NumericalError
-from .features import Inventory, Segment, fingerprint_features
+from .features import Inventory, Segment
 
 if TYPE_CHECKING:  # annotations only: loading a model does not load the seed pipeline
     from .seed import SeedDataset
@@ -31,9 +32,9 @@ class FingerprintError(InputError):
     """Model and segments belong to different feature systems (an input mismatch, exit 2)."""
 
 
-def _same_system(what: str, *fingerprints: str) -> None:
-    """The one feature-system check: `what` must share a single fingerprint."""
-    if len(set(fingerprints)) > 1:
+def _same_system(what: str, *feature_names: tuple[str, ...]) -> None:
+    """The one feature-system check: `what` must share one feature-name tuple, in order."""
+    if len(set(feature_names)) > 1:
         raise FingerprintError(f"{what} come from different feature systems")
 
 
@@ -42,15 +43,11 @@ class LinearModel:
     intercept: float
     coefficients: tuple[float, ...]  # bothPlus block, then bothMinus block
     lam: float
-    feature_names: tuple[str, ...]
-    feature_fingerprint: str
+    feature_names: tuple[str, ...]  # the feature system: predictors are saved and printed by these names
 
     def __post_init__(self) -> None:
-        # Predictors are saved and printed by name, and the fingerprint joins the names with tabs.
         if len(set(self.feature_names)) != len(self.feature_names) or not all(map(str.isprintable, self.feature_names)):
-            raise InputError("model feature names must be distinct and printable, so contain no tab")
-        if self.feature_fingerprint != fingerprint_features(self.feature_names):
-            raise InputError("model fingerprint does not match its feature_names")
+            raise InputError("model feature names must be distinct and printable")
         if len(self.coefficients) != (expected := 2 * len(self.feature_names)):
             raise InputError(f"model has {len(self.coefficients)} coefficients, expected {expected}")
         values = (self.lam, self.intercept, *self.coefficients)
@@ -128,14 +125,13 @@ def fit(ds: "SeedDataset", inv: Inventory, lam: float = DEFAULT_LAMBDA) -> Linea
         coefficients=tuple(float(c) for c in w),
         lam=lam,
         feature_names=inv.feature_names,
-        feature_fingerprint=inv.fingerprint,
     )
 
 
 def predict_distance(m: LinearModel, a: Segment, b: Segment) -> float:
     """Clamped dimensionless distance between two segments (0 for a == a)."""
     _same_system(f"the model and segments {a.grapheme!r}, {b.grapheme!r}",
-                 m.feature_fingerprint, a.system_fingerprint, b.system_fingerprint)
+                 m.feature_names, a.feature_names, b.feature_names)
     if a.grapheme == b.grapheme:
         return 0.0
     return float(predict_rows(m, encode_pairs(*np.array([[a.features], [b.features]], dtype=bool)))[0])
@@ -147,7 +143,6 @@ def save_model(m: LinearModel, sink: str | Path | TextIO) -> None:
         "version": 1,
         "lambda": m.lam,
         "intercept": m.intercept,
-        "fingerprint": m.feature_fingerprint,
         "feature_names": list(m.feature_names),
         "coefficients": dict(zip(m.predictor_names, m.coefficients)),
     }
@@ -155,11 +150,12 @@ def save_model(m: LinearModel, sink: str | Path | TextIO) -> None:
 
 
 def load_model(source: str | Path | TextIO) -> LinearModel:
-    """Read a model JSON file back, checking its shape and JSON types; LinearModel checks the values."""
+    """Read a model JSON file back, checking its shape and JSON types; LinearModel checks the values.
+    Unknown keys are ignored, among them the "fingerprint" that older files carry."""
     payload = textio.read_json(source)
     if not isinstance(payload, dict):
         raise InputError("model file must hold a JSON object")
-    for field in ("version", "lambda", "intercept", "fingerprint", "feature_names", "coefficients"):
+    for field in ("version", "lambda", "intercept", "feature_names", "coefficients"):
         if field not in payload:
             raise InputError(f"model file missing field {field!r}")
     if isinstance(payload["version"], bool) or payload["version"] != 1:
@@ -188,5 +184,4 @@ def load_model(source: str | Path | TextIO) -> LinearModel:
         coefficients=tuple(ordered),
         lam=_num(payload["lambda"], "lambda"),
         feature_names=names,
-        feature_fingerprint=payload["fingerprint"],
     )

@@ -11,6 +11,7 @@ import pytest
 import phondist
 from phondist import align, bundled_path, cli
 from phondist.cli import main
+from phondist.errors import NumericalError
 
 DATA = {
     "features": str(bundled_path("features.tsv")),
@@ -29,6 +30,12 @@ GOLDEN_INTERCEPT = 2.465961044818897
 
 def run(*argv):
     return main(list(argv))
+
+
+def _env(**extra) -> dict[str, str]:
+    """This environment, with this checkout's package first on PYTHONPATH, for a child process."""
+    src = str(Path(phondist.__file__).resolve().parent.parent)
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def _copy_or_skip(source, target: Path) -> Path:
@@ -144,6 +151,16 @@ class TestFit:
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.splitlines()) == 1 and "--templates" in err
+
+    def test_numerical_failure_exit_1_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise NumericalError("non-finite fit result")
+        monkeypatch.setattr(cli, "fit", fail)
+        out = tmp_path / "m.json"
+        assert run("fit", "--features", DATA["features"], "--seed", DATA["seed"], "-o", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "phondist fit: numerical failure: non-finite fit result\n"
 
     def test_escape_character_in_a_feature_name_exit_2(self, tmp_path, capsys):
         # Predictor names carry feature names to stdout, so an ANSI escape must not get there.
@@ -380,11 +397,9 @@ def test_cognates_into_a_closed_pipe_exits_0_quietly(demo_matrix_file, tmp_path,
     segments = [g for g in cli.load_reference_matrix(demo_matrix_file).segments if g != "∅"]
     words = tmp_path / "words.txt"
     words.write_text("".join("".join(rng.choices(segments, k=6)) + "\n" for _ in range(300)), encoding="utf-8")
-    src = str(Path(phondist.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen(
         [sys.executable, *ENTRY_POINTS[entry], "cognates", "--matrix", str(demo_matrix_file), "--words", str(words)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env(),
     )
     head = proc.stdout.read(100)  # `| head -c 100`: the table is far over the 64 KiB a pipe buffers
     proc.stdout.close()
@@ -412,12 +427,9 @@ def test_out_of_memory_exits_1_with_one_line(command, tmp_path):
         words = tmp_path / "words.txt"
         words.write_text("".join("".join(rng.choices(segments, k=5)) + "\n" for _ in range(30_000)), encoding="utf-8")
         argv = ["--words", str(words)]
-    src = str(Path(phondist.__file__).resolve().parent.parent)
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
         [sys.executable, "-m", "phondist", command, "--matrix", DATA["fixture"], *argv],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=_env(OPENBLAS_NUM_THREADS="1"), timeout=300,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE)),
     )
     assert (done.returncode, done.stderr.splitlines()) == (1, [f"phondist {command}: error: out of memory"])
@@ -509,13 +521,26 @@ def test_wrote_line_escapes_an_odd_out_path(command, fitted, tmp_path):
     out = _copy_or_skip(DATA["fixture"], tmp_path / "o2\udcff.tsv")
     inputs = {"matrix": ["--model", str(fitted), "--features", DATA["features"]],
               "pca": ["--matrix", DATA["fixture"]]}[command]
-    src = str(Path(phondist.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONIOENCODING": "utf-8",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-m", "phondist", command, *inputs, "-o", str(out)],
-                          env=env, capture_output=True, timeout=120)
+                          env=_env(PYTHONIOENCODING="utf-8"), capture_output=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, b"")
     assert done.stdout.decode("utf-8").rstrip("\n").endswith(f" to {_escaped(out)}")
+
+
+@pytest.mark.parametrize("command", ["align", "cognates"])
+def test_stdout_is_utf8_whatever_the_locale(command, demo_matrix_file, tmp_path):
+    """IPA on stdout is UTF-8 bytes under any PYTHONIOENCODING, not an encoding error."""
+    words = tmp_path / "words.txt"
+    words.write_text("tɔxtər\ndɔtər\nwaldemar\n", encoding="utf-8")
+    argv = {"align": ["tɔxtər", "dɔtər"], "cognates": ["--words", str(words)]}[command]
+    stdout = {}
+    for encoding in ("utf-8", "ascii", "latin-1"):
+        done = subprocess.run([sys.executable, "-m", "phondist", command, "--matrix", str(demo_matrix_file), *argv],
+                              env=_env(PYTHONIOENCODING=encoding), capture_output=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, b""), encoding
+        stdout[encoding] = done.stdout
+    assert not stdout["utf-8"].isascii()
+    assert stdout["ascii"] == stdout["latin-1"] == stdout["utf-8"]
 
 
 class TestParserBasics:

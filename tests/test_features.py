@@ -1,4 +1,3 @@
-import hashlib
 import io
 import itertools
 import random
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 import phondist as pd
 from phondist.errors import InputError, TokenizeError, UnknownSegmentError
-from phondist.features import fingerprint_features, tokenize
+from phondist.features import tokenize
 
 from oracles import all_segmentations, greedy_tokenize, leftmost_longest
 
@@ -115,7 +114,7 @@ class TestLoadFeatureTable:
 
 
 class TestOneTable:
-    """An Inventory's segments, feature rows and fingerprint are read from one table."""
+    """An Inventory's segments, feature rows and feature names are read from one table."""
 
     NULL_ROW_TABLE = "segment\tvoice\tnasal\np\t-\t-\n∅\t+\t-\nm\t+\t+\n"  # ∅ with its own row
 
@@ -125,7 +124,7 @@ class TestOneTable:
         for g in inv.graphemes:
             segment = inv.get_segment(g)
             assert segment.features == tuple(inv.feature_rows([g])[0].tolist())
-            assert segment.system_fingerprint == inv.fingerprint
+            assert segment.feature_names is inv.feature_names
 
     def test_a_listed_null_keeps_its_row(self):
         inv = pd.load_feature_table(io.StringIO(self.NULL_ROW_TABLE))
@@ -265,19 +264,3 @@ class TestRender:
         # determinism
         assert tokenize(word, set(demo_inventory.graphemes)) == parsed
 
-
-class TestFingerprint:
-    """The built-in SHA-256 the fingerprint uses gives hashlib's digest, so model files keep it."""
-
-    @staticmethod
-    def reference(names):
-        return hashlib.sha256("\t".join(names).encode("utf-8")).hexdigest()
-
-    def test_bundled_names(self):
-        inv = pd.load_feature_table(pd.bundled_path("features.tsv"))
-        assert inv.fingerprint == fingerprint_features(inv.feature_names) == self.reference(inv.feature_names)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=12), max_size=8))
-    def test_any_names(self, names):
-        assert fingerprint_features(names) == self.reference(names)
