@@ -7,8 +7,8 @@ in null_column mode. Gap penalties are linear.
 Tie order: a cell takes the diagonal move, then up (a left-word segment
 against a gap) on a strictly greater score, then left (a gap against a
 right-word segment) on a strictly greater score. A local cell not above 0 is
-floored at 0.0, and a local alignment ends at the first best cell in
-row-major order.
+floored at 0.0; a local alignment ends at the first best cell in row-major
+order and starts after the last floored cell on its traceback path.
 
 Kernels: `_align` fills a pair's table one anti-diagonal at a time and traces
 back; `cognancy_matrix` scores chunks of one right-word length and at most
@@ -38,7 +38,7 @@ A table that could hold NaN or -0.0 needs the masked picks
 import io
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, repeat
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
@@ -57,9 +57,9 @@ Column = tuple[str | None, str | None]  # (left token, right token), None = gap
 
 # Traceback moves, one byte per DP cell. _DIAG and _UP are 0 and 1, so that
 # `_align` writes its first pick as a boolean straight into the table.
-# _STOP ends a local alignment (the cell was floored) and marks the origin of a
-# global one. `_align` writes it at setup, with the other boundary moves, into
-# cell (0, 0), and in local mode into row 0 and column 0; its fill writes the rest.
+# _STOP marks where every traceback ends: cell (0, 0), and in local mode all of
+# row 0 and column 0. `_align` writes it at setup, with the other boundary moves;
+# its fill writes the rest and no _STOP, not even into a floored local cell.
 _DIAG, _UP, _LEFT, _STOP = 0, 1, 2, 3
 
 # The local floor, as a 0-d array: numpy converts a Python float operand on every call.
@@ -175,6 +175,12 @@ def _align(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> Align
     """The dynamic program behind both aligners. It fills the move table one
     anti-diagonal d = i + j at a time (Wozniak 1997) and traces back from the end cell.
 
+    A floored local cell keeps the move it picked before the floor, so a local
+    traceback walks on to the boundary. It then adds the columns' table entries
+    up again forward from 0.0, the fill's own additions in the fill's order, and
+    the alignment starts after the last cell whose sum is not above 0.0. This
+    costs a pass over the path and saves a mask and an override per diagonal.
+
     Diagonal buffers are indexed by i, so cell (i, d-i) reads cell i-1 of the
     two previous diagonals (diagonal and up moves) and cell i of the last one
     (left move). The move table stores the cells diagonal after diagonal, each
@@ -211,45 +217,48 @@ def _align(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> Align
     # column 0: top and side in global mode. In local mode they stay 0.0, as no
     # diagonal before d writes them.
     older, last, cur = np.zeros((3, n + 1))
-    cand, pick = np.empty(n), np.empty(n, dtype=bool)
-    score, (i, j) = 0.0, (0, 0)
+    g = np.array(s.gap_constant, dtype=float) if s.gap_mode == "constant" else None  # one add makes both gap moves
+    cand, lft, pick = np.empty(n + 1), np.empty(n if g is None else 0), np.empty(n, dtype=bool)
+    score, i, j = 0.0, 0, 0
     with np.errstate(all="ignore"):  # Python floats overflow to inf without a warning
-        for d in range(1, n + m + 1):
+        # diagonal d holds cells lo .. hi, lo = max(1, d-m) and hi = min(n, d-1)
+        for d, lo, hi in zip(range(1, n + m + 1), chain(repeat(1, m), range(1, n + 1)),
+                             chain(range(n + 1), repeat(n, m - 1))):
             if not local and d <= m:
                 cur[0] = top[d]
             if not local and d <= n:
                 cur[d] = side[d]
-            lo, hi = max(1, d - m), min(n, d - 1)
             if lo <= hi:
                 k, r = hi - lo + 1, m - d
                 h, c, p = cur[lo:hi + 1], cand[:k], pick[:k]
                 o = at.item(d)
-                mv = table[o + lo:o + hi + 1]  # cells (lo, d-lo) .. (hi, d-hi), contiguous
                 sims[d:].take(base[lo - 1:hi], out=c, mode="clip")
                 np.add(older[lo - 1:hi], c, out=h)
-                np.add(last[lo - 1:hi], gl[lo - 1:hi], out=c)
+                if g is None:  # the up candidates into c, the left ones into e
+                    e = lft[:k]
+                    np.add(last[lo - 1:hi], gl[lo - 1:hi], out=c)
+                    np.add(last[lo:hi + 1], grrev[r + lo:r + hi + 1], out=e)
+                else:  # cell lo+t moves up from last[lo-1+t] and left from last[lo+t]
+                    np.add(last[lo - 1:hi + 1], g, out=cand[:k + 1])
+                    e = cand[1:k + 1]
                 np.greater(c, h, out=up[o + lo:o + hi + 1])  # _DIAG, or _UP where up beat it
                 np.maximum(h, c, out=h)
-                np.add(last[lo:hi + 1], grrev[r + lo:r + hi + 1], out=c)
-                np.greater(c, h, out=p)
-                np.maximum(h, c, out=h)
-                np.putmask(mv, p, _LEFT)
-                if local:
-                    np.less_equal(h, _ZERO, out=p)
-                    np.putmask(mv, p, _STOP)
+                np.greater(e, h, out=p)
+                np.maximum(h, e, out=h)
+                np.putmask(table[o + lo:o + hi + 1], p, _LEFT)  # cells (lo, d-lo) .. (hi, d-hi), contiguous
+                if local:  # a floored cell keeps its pick; the traceback finds it
                     np.maximum(h, _ZERO, out=h)
-                    # the first best cell in row-major order: first on this diagonal,
-                    # then against earlier diagonals by (i, j)
+                    # the first best cell in row-major order: first on this diagonal; a
+                    # later diagonal's tie comes first only from a smaller row
                     a = int(h.argmax())
-                    best, cell = h.item(a), (lo + a, d - lo - a)
-                    if best > score or (best == score and cell < (i, j)):
-                        score, (i, j) = best, cell
+                    if (best := h.item(a)) > score or (best == score and lo + a < i):
+                        score, i, j = best, lo + a, d - lo - a
             older, last, cur = last, cur, older
     score, i, j = (score, i, j) if local else (last.item(n), n, m)
     del sims, base, older, last, cur  # free before the traceback builds its columns
-    moves, at, seg = table.data, at.tolist(), s.matrix.segments
+    moves, at, seg, sim, gap = table.data, at.tolist(), s.matrix.segments, s._sim_array, s._gap_array
     columns: list[Column] = []
-    while (which := moves[at[i + j] + i]) != _STOP:
+    while (which := moves[at[i + j] + i]) != _STOP:  # in local mode, on to the boundary
         if which == _DIAG:
             i -= 1
             j -= 1
@@ -260,6 +269,15 @@ def _align(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> Align
         else:
             j -= 1
             columns.append((None, seg[ri[j]]))
+    if local:  # the fill's additions again, forward from the boundary's 0.0; the alignment starts after the last floor
+        total, start = 0.0, len(columns)
+        for k in range(len(columns) - 1, -1, -1):
+            x, y = columns[k]
+            total += gap.item(ri[j]) if x is None else gap.item(li[i]) if y is None else sim.item(li[i], ri[j])
+            i, j = i + (x is not None), j + (y is not None)
+            if not total > 0.0:
+                total, start = 0.0, k
+        del columns[start:]
     columns.reverse()
     return Alignment(tuple(columns), score)
 

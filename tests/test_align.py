@@ -332,6 +332,33 @@ class TestHardTables:
         for seed, (n, m) in enumerate([(1, 30), (30, 1), (80, 3), (4, 70)]):
             assert_aligners_match_the_oracles(s, *tie_prone_pair(demo_matrix, n, m, seed + 8))
 
+    @pytest.mark.parametrize("gap_mode", ["constant", "null_column"])
+    def test_a_local_run_after_far_segments_matches_the_oracles(self, demo_matrix, gap_mode):
+        """The best local run starts after a block of far segments: s and aː are at
+        distance 1 from each other and from ∅, so any column in the blocks scores
+        below 0 in both gap modes. The traceback walks on through floored cells to
+        the boundary before it finds where the run starts."""
+        s = ScoringScheme(matrix=demo_matrix, gap_mode=gap_mode)
+        for block, n, m, seed in [(1, 6, 5, 7), (3, 12, 12, 1), (8, 9, 30, 4), (12, 30, 30, 6), (20, 25, 12, 24)]:
+            left, right = tie_prone_pair(demo_matrix, n, m, seed)
+            left, right = ["s"] * block + left, ["aː"] * block + right
+            assert "s" not in left[block:] and "aː" not in right[block:]
+            run = oracles.local_align(s, left, right)
+            firsts = [next(t for t in row if t is not None) for row in (run.left_row, run.right_row)]
+            assert firsts[0] != "s" and firsts[1] != "aː"  # so the run starts past both blocks
+            assert_aligners_match_the_oracles(s, left, right)
+
+    @pytest.mark.parametrize("gap_mode", ["constant", "null_column"])
+    def test_a_prefix_summing_to_exactly_zero_is_floored(self, gap_mode):
+        """Every column scores +5 or -5, so a walked path crosses a cell whose pre-floor
+        value is exactly 0.0: floored, and the alignment starts after it."""
+        values = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        s = ScoringScheme(matrix=DistanceMatrix(["a", "b", "∅"], values), center=0.5, gap_mode=gap_mode)
+        for left, right in [("aaab", "abaab"), ("abab", "abbab"), ("abbab", "abab"), ("baaba", "baba")]:
+            run = oracles.local_align(s, left, right)
+            assert (len(run.columns), run.score) == (3, 15.0)  # not the 5-column run through the 0.0 cell
+            assert_aligners_match_the_oracles(s, left, right)
+
     @settings(max_examples=300, deadline=None)
     @given(
         left=st.lists(st.integers(0, 2), max_size=40),

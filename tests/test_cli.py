@@ -543,6 +543,16 @@ def test_stdout_is_utf8_whatever_the_locale(command, demo_matrix_file, tmp_path)
     assert stdout["ascii"] == stdout["latin-1"] == stdout["utf-8"]
 
 
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_stderr_is_utf8_whatever_the_locale(encoding, demo_matrix_file):
+    """An error line names the word in UTF-8 bytes, not in a locale's escapes."""
+    done = subprocess.run([sys.executable, "-m", "phondist", "align", "--matrix", str(demo_matrix_file), "ɔQ", "ɔ"],
+                          env=_env(PYTHONIOENCODING=encoding), capture_output=True, timeout=120)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert len(done.stderr.splitlines()) == 1
+    assert "cannot tokenize 'ɔQ'" in done.stderr.decode("utf-8")
+
+
 class TestParserBasics:
     def test_no_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
