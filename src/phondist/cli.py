@@ -1,6 +1,9 @@
 """Command-line interface: fit models, emit matrices, align words, score cognancy.
 
 README's "Pipeline walkthrough" runs each subcommand and states the exit codes.
+Each command imports the modules it runs, and `main` builds only the invoked
+command's arguments, so a process loads no other module (`fit` no alignment
+code, `pca` no JSON parser).
 """
 
 import argparse
@@ -10,29 +13,7 @@ import sys
 from contextlib import contextmanager
 
 from . import __version__, textio
-from .align import (
-    DEFAULT_CENTER,
-    DEFAULT_GAP,
-    DEFAULT_SIGMA,
-    ScoringScheme,
-    _check_threshold,
-    cognancy_matrix,
-    format_alignment,
-    global_align,
-    local_align,
-    write_cognancy_tsv,
-)
 from .errors import InputError, NumericalError, TokenizeError
-from .features import load_feature_table
-from .matrix import (
-    build_matrix,
-    export_matrix_tsv,
-    export_pca_svg,
-    export_pca_tsv,
-    load_reference_matrix,
-    pca,
-)
-from .model import DEFAULT_LAMBDA, fit, load_model, save_model
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,7 +27,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {textio.one_line(message)}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: "str | None" = None) -> argparse.ArgumentParser:
+    """Every subcommand with its help, and the arguments of `command` alone if it is
+    given, so that a process imports only the modules its command runs."""
     parser = _Parser(
         prog="phondist",
         description="Dimensionless phoneme distances, alignment and cognancy scoring.",
@@ -54,60 +37,63 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"phondist {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="fit a distance model from seed data")
-    p_fit.add_argument("--features", required=True, help="feature table TSV")
-    p_fit.add_argument("--seed", required=True, help="raw seed scores CSV")
-    p_fit.add_argument("--adjustments", help="manual overrides CSV (optional)")
-    p_fit.add_argument("--templates", help="delta template CSV (optional)")
-    p_fit.add_argument("--bundles", help="correspondence bundle JSON (needed with --templates)")
-    p_fit.add_argument(
-        "--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA,
-        help=f"ridge strength, >= 0 (default {DEFAULT_LAMBDA})",
-    )
-    p_fit.add_argument("-o", "--out", required=True, help="output model JSON")
-    p_fit.set_defaults(run=cmd_fit)
+    def add(name: str, summary: str, run):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        return p if command in (None, name) else None
 
-    p_matrix = sub.add_parser("matrix", help="materialize the full distance matrix")
-    p_matrix.add_argument("--model", required=True, help="fitted model JSON")
-    p_matrix.add_argument("--features", required=True, help="feature table TSV")
-    p_matrix.add_argument("--include-null", action="store_true", help="add the ∅ row/column")
-    p_matrix.add_argument("-o", "--out", required=True, help="output matrix TSV")
-    p_matrix.set_defaults(run=cmd_matrix)
+    if p := add("fit", "fit a distance model from seed data", cmd_fit):
+        from .model import DEFAULT_LAMBDA
 
-    p_dist = sub.add_parser("distance", help="look up one pairwise distance")
-    p_dist.add_argument("--matrix", required=True, help="matrix TSV")
-    p_dist.add_argument("seg_a")
-    p_dist.add_argument("seg_b")
-    p_dist.set_defaults(run=cmd_distance)
+        p.add_argument("--features", required=True, help="feature table TSV")
+        p.add_argument("--seed", required=True, help="raw seed scores CSV")
+        p.add_argument("--adjustments", help="manual overrides CSV (optional)")
+        p.add_argument("--templates", help="delta template CSV (optional)")
+        p.add_argument("--bundles", help="correspondence bundle JSON (needed with --templates)")
+        p.add_argument(
+            "--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA,
+            help=f"ridge strength, >= 0 (default {DEFAULT_LAMBDA})",
+        )
+        p.add_argument("-o", "--out", required=True, help="output model JSON")
 
-    p_align = sub.add_parser("align", help="align two IPA words")
-    p_align.add_argument("--matrix", required=True, help="matrix TSV")
-    p_align.add_argument("word1")
-    p_align.add_argument("word2")
-    _add_scoring_options(p_align)
-    p_align.set_defaults(run=cmd_align)
+    if p := add("matrix", "materialize the full distance matrix", cmd_matrix):
+        p.add_argument("--model", required=True, help="fitted model JSON")
+        p.add_argument("--features", required=True, help="feature table TSV")
+        p.add_argument("--include-null", action="store_true", help="add the ∅ row/column")
+        p.add_argument("-o", "--out", required=True, help="output matrix TSV")
 
-    p_cog = sub.add_parser("cognates", help="pairwise cognancy scores for a word list")
-    p_cog.add_argument("--matrix", required=True, help="matrix TSV")
-    p_cog.add_argument("--words", required=True, help="word list, one IPA word per line")
-    p_cog.add_argument(
-        "--threshold", type=float, default=None,
-        help="mark scores >= threshold with '*' (conventionally 0)",
-    )
-    _add_scoring_options(p_cog)
-    p_cog.set_defaults(run=cmd_cognates)
+    if p := add("distance", "look up one pairwise distance", cmd_distance):
+        p.add_argument("--matrix", required=True, help="matrix TSV")
+        p.add_argument("seg_a")
+        p.add_argument("seg_b")
 
-    p_pca = sub.add_parser("pca", help="principal components of a distance matrix")
-    p_pca.add_argument("--matrix", required=True, help="matrix TSV")
-    p_pca.add_argument("-k", "--components", type=int, default=2, help="component count")
-    p_pca.add_argument("--format", choices=("tsv", "svg"), default="tsv")
-    p_pca.add_argument("-o", "--out", required=True, help="output file")
-    p_pca.set_defaults(run=cmd_pca)
+    if p := add("align", "align two IPA words", cmd_align):
+        p.add_argument("--matrix", required=True, help="matrix TSV")
+        p.add_argument("word1")
+        p.add_argument("word2")
+        _add_scoring_options(p)
+
+    if p := add("cognates", "pairwise cognancy scores for a word list", cmd_cognates):
+        p.add_argument("--matrix", required=True, help="matrix TSV")
+        p.add_argument("--words", required=True, help="word list, one IPA word per line")
+        p.add_argument(
+            "--threshold", type=float, default=None,
+            help="mark scores >= threshold with '*' (conventionally 0)",
+        )
+        _add_scoring_options(p)
+
+    if p := add("pca", "principal components of a distance matrix", cmd_pca):
+        p.add_argument("--matrix", required=True, help="matrix TSV")
+        p.add_argument("-k", "--components", type=int, default=2, help="component count")
+        p.add_argument("--format", choices=("tsv", "svg"), default="tsv")
+        p.add_argument("-o", "--out", required=True, help="output file")
 
     return parser
 
 
 def _add_scoring_options(p: argparse.ArgumentParser) -> None:
+    from .align import DEFAULT_CENTER, DEFAULT_GAP, DEFAULT_SIGMA
+
     p.add_argument("--mode", choices=("global", "local"), default="global")
     p.add_argument("--sigma", type=float, default=DEFAULT_SIGMA,
                    help=f"similarity scale, > 0 (default {DEFAULT_SIGMA})")
@@ -139,7 +125,9 @@ def _params_header(**params) -> str:
 
 
 def cmd_fit(args) -> None:
-    from . import seed  # here, as no other command runs the seed pipeline
+    from . import seed
+    from .features import load_feature_table
+    from .model import fit, save_model
 
     if bool(args.templates) != bool(args.bundles):
         raise InputError("--templates and --bundles (the delta pair lists) go together")
@@ -167,6 +155,10 @@ def cmd_fit(args) -> None:
 
 
 def cmd_matrix(args) -> None:
+    from .features import load_feature_table
+    from .matrix import build_matrix, export_matrix_tsv
+    from .model import load_model
+
     inv = _load(args.features, load_feature_table)
     model = _load(args.model, load_model)
     with _naming(args.features, args.model):
@@ -177,6 +169,8 @@ def cmd_matrix(args) -> None:
 
 
 def _matrix(args):
+    from .matrix import load_reference_matrix
+
     return _load(args.matrix, load_reference_matrix)
 
 
@@ -185,7 +179,9 @@ def cmd_distance(args) -> None:
     print(f"{_matrix(args).get(textio.nfc(args.seg_a), textio.nfc(args.seg_b)):.2f}")
 
 
-def _scheme(args) -> ScoringScheme:
+def _scheme(args):
+    from .align import ScoringScheme
+
     return ScoringScheme(
         matrix=_matrix(args),
         sigma=args.sigma,
@@ -196,6 +192,8 @@ def _scheme(args) -> ScoringScheme:
 
 
 def cmd_align(args) -> None:
+    from .align import format_alignment, global_align, local_align
+
     aligner = global_align if args.mode == "global" else local_align
     alignment = aligner(_scheme(args), args.word1, args.word2)
     print(format_alignment(alignment))
@@ -203,6 +201,8 @@ def cmd_align(args) -> None:
 
 
 def cmd_cognates(args) -> None:
+    from .align import _check_threshold, cognancy_matrix, write_cognancy_tsv
+
     scheme = _scheme(args)
     _check_threshold(args.threshold)  # before the all-pairs run, not after it
     with _naming(args.words):
@@ -220,6 +220,8 @@ def cmd_cognates(args) -> None:
 
 
 def cmd_pca(args) -> None:
+    from .matrix import export_pca_svg, export_pca_tsv, pca
+
     result = pca(_matrix(args), args.components)
     header = _params_header(matrix=args.matrix, k=args.components)
     if args.format == "svg":
@@ -236,7 +238,9 @@ def main(argv: "list[str] | None" = None) -> int:
     for stream, errors in ((sys.stdout, "strict"), (sys.stderr, "backslashreplace")):
         if hasattr(stream, "reconfigure"):  # not on an in-process stand-in such as a StringIO
             stream.reconfigure(encoding="utf-8", errors=errors)
-    args, unknown = build_parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = next((arg for arg in argv if not arg.startswith("-")), None)  # no top-level option takes a value
+    args, unknown = build_parser(command).parse_known_args(argv)
     try:
         if unknown:
             raise InputError(f"unrecognized arguments: {' '.join(unknown)}")

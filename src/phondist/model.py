@@ -6,7 +6,6 @@ checks its own invariants, however it was made, so load_model only parses.
 Models are saved and loaded as UTF-8 JSON through textio.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -139,6 +138,8 @@ def predict_distance(m: LinearModel, a: Segment, b: Segment) -> float:
 
 def save_model(m: LinearModel, sink: str | Path | TextIO) -> None:
     """Write the model as JSON; floats survive the round trip bit-for-bit."""
+    import json  # here, as only `fit` writes a model
+
     payload = {
         "version": 1,
         "lambda": m.lam,

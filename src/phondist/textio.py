@@ -10,9 +10,7 @@ they leave the package as one line (table and SVG comments, CLI lines); data
 needs no escaping, as Inventory and DistanceMatrix refuse unprintable names.
 """
 
-import csv
 import io
-import json
 import unicodedata
 from contextlib import contextmanager
 from pathlib import Path
@@ -34,20 +32,14 @@ def _opened(target: str | Path | TextIO, mode: str = "r", newline: str | None = 
 
 def _parse(source: str | Path | TextIO, parse: Callable[[TextIO], T], newline: str | None = None) -> T:
     """`parse` applied to the text of `source`, from a path or a handle alike, without
-    a leading byte-order mark."""
+    a leading byte-order mark. Each format's reader imports its parser and words its
+    errors itself, so that a process that reads no CSV or JSON loads neither."""
     try:
         with _opened(source, newline=newline) as handle:
             text = handle.read().removeprefix("\ufeff")
-        return parse(io.StringIO(text, newline=newline))
     except UnicodeDecodeError as exc:
-        problem = f"not valid UTF-8 ({exc.reason})"
-    except json.JSONDecodeError as exc:
-        problem = f"malformed JSON ({exc})"
-    except RecursionError:  # only json.load recurses, once per nesting level
-        problem = "malformed JSON (nested too deeply)"
-    except csv.Error as exc:
-        problem = f"malformed CSV ({exc})"
-    raise InputError(problem)
+        raise InputError(f"not valid UTF-8 ({exc.reason})") from None
+    return parse(io.StringIO(text, newline=newline))
 
 
 def nfc(text: str) -> str:
@@ -98,16 +90,19 @@ def write_table(sink: str | Path | TextIO, comment: str, rows: Iterable[Iterable
 
 def read_csv(source: str | Path | TextIO, width: int) -> list[tuple[int, list[str]]]:
     """(line number, cells) per CSV row of exactly `width` cells; empty and "#" comment rows skipped."""
-    rows = _parse(source, _csv_rows, newline="")
+    import csv
+
+    def rows_of(handle: TextIO) -> list[tuple[int, list[str]]]:  # a row's number is the line it ends on
+        reader = csv.reader(handle)
+        return [(reader.line_num, row) for row in reader if row and not row[0].lstrip().startswith("#")]
+
+    try:
+        rows = _parse(source, rows_of, newline="")
+    except csv.Error as exc:
+        raise InputError(f"malformed CSV ({exc})") from None
     for lineno, row in rows:
         _check_width(lineno, row, width)
     return [(lineno, [nfc(cell) for cell in row]) for lineno, row in rows]
-
-
-def _csv_rows(handle: TextIO) -> list[tuple[int, list[str]]]:
-    """(number of the line the row ends on, cells) per CSV row, empty and "#" comment rows skipped."""
-    reader = csv.reader(handle)
-    return [(reader.line_num, row) for row in reader if row and not row[0].lstrip().startswith("#")]
 
 
 def _check_width(lineno: int, cells: list[str], width: int) -> None:
@@ -117,7 +112,14 @@ def _check_width(lineno: int, cells: list[str], width: int) -> None:
 
 def read_json(source: str | Path | TextIO) -> Any:
     """The parsed JSON document; its shape is the caller's to check."""
-    return _parse(source, lambda handle: json.load(handle, parse_int=_json_int))
+    import json
+
+    try:
+        return _parse(source, lambda handle: json.load(handle, parse_int=_json_int))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed JSON ({exc})") from None
+    except RecursionError:  # json.load recurses once per nesting level
+        raise InputError("malformed JSON (nested too deeply)") from None
 
 
 def _json_int(digits: str) -> int:

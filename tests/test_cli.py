@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import phondist
-from phondist import align, bundled_path, cli
+from phondist import align, bundled_path
 from phondist.cli import main
 from phondist.errors import NumericalError
 
@@ -155,7 +155,7 @@ class TestFit:
     def test_numerical_failure_exit_1_with_one_line(self, tmp_path, capsys, monkeypatch):
         def fail(*args):
             raise NumericalError("non-finite fit result")
-        monkeypatch.setattr(cli, "fit", fail)
+        monkeypatch.setattr(phondist.model, "fit", fail)
         out = tmp_path / "m.json"
         assert run("fit", "--features", DATA["features"], "--seed", DATA["seed"], "-o", str(out)) == 1
         captured = capsys.readouterr()
@@ -363,7 +363,6 @@ class TestCognates:
         def no_alignment(*args):
             raise AssertionError("cognancy_matrix ran before the threshold was checked")
         monkeypatch.setattr(align, "cognancy_matrix", no_alignment)
-        monkeypatch.setattr(cli, "cognancy_matrix", no_alignment)  # the name cmd_cognates calls
         code = run("cognates", "--matrix", str(demo_matrix_file),
                    "--words", DATA["test1"], "--threshold", "nan")
         assert code == 2
@@ -394,7 +393,7 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_cognates_into_a_closed_pipe_exits_0_quietly(demo_matrix_file, tmp_path, entry):
     rng = random.Random(0)
-    segments = [g for g in cli.load_reference_matrix(demo_matrix_file).segments if g != "∅"]
+    segments = [g for g in phondist.load_reference_matrix(demo_matrix_file).segments if g != "∅"]
     words = tmp_path / "words.txt"
     words.write_text("".join("".join(rng.choices(segments, k=6)) + "\n" for _ in range(300)), encoding="utf-8")
     proc = subprocess.Popen(
@@ -420,7 +419,7 @@ ADDRESS_SPACE = 1_500_000_000
 def test_out_of_memory_exits_1_with_one_line(command, tmp_path):
     resource = pytest.importorskip("resource")
     rng = random.Random(0)
-    segments = cli.load_reference_matrix(DATA["fixture"]).segments
+    segments = phondist.load_reference_matrix(DATA["fixture"]).segments
     if command == "align":  # two 45,000-segment words
         argv = ["".join(rng.choices(segments, k=45_000)) for _ in range(2)]
     else:  # 30,000 five-segment words

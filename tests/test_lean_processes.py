@@ -1,14 +1,16 @@
 """Each CLI process loads only what its command runs; `import phondist` loads no submodule."""
 
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import phondist
-from phondist import bundled_path
+from phondist import bundled_path, cli
 
 SRC = str(Path(phondist.__file__).resolve().parent.parent)
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
@@ -58,6 +60,58 @@ def loaded(tmp_path_factory) -> dict[str, set[str]]:
 @pytest.mark.parametrize("command", COMMANDS)
 def test_no_command_loads_openssl(command, loaded):
     assert "_hashlib" not in loaded[command]
+
+
+# What each command loads of the modules some command can do without: the package's
+# own, and the standard library's CSV and JSON parsers.
+LOADS = {
+    "fit": {"phondist.features", "phondist.seed", "phondist.model", "json", "csv"},
+    "matrix": {"phondist.features", "phondist.model", "phondist.matrix", "json"},
+    "cognates": {"phondist.features", "phondist.model", "phondist.matrix", "phondist.align"},
+    "align": {"phondist.features", "phondist.model", "phondist.matrix", "phondist.align"},
+    "pca": {"phondist.features", "phondist.model", "phondist.matrix"},
+    "distance": {"phondist.features", "phondist.model", "phondist.matrix"},
+}
+OPTIONAL = set().union(*LOADS.values())
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_loads_only_the_modules_it_runs(command, loaded):
+    assert loaded[command] & OPTIONAL == LOADS[command]
+
+
+def _main(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `cli.main(argv)`, in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _full_parser(argv: list[str]) -> tuple[int, str, str]:
+    """The same for the parser that builds every command's arguments."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exited:
+        cli.build_parser().parse_args(argv)
+    return exited.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [[command, "--help"] for command in COMMANDS] + [["--help"]])
+def test_help_is_the_full_parsers(argv):
+    code, out, err = _main(argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: phondist") and (code, out, err) == _full_parser(argv)
+
+
+def test_an_unknown_command_is_refused_naming_all_six():
+    code, out, err = _main(["bogus"])
+    assert (code, out, err) == _full_parser(["bogus"])
+    last = err.splitlines()[-1]
+    assert code == 2 and "invalid choice" in last and "bogus" in last
+    assert all(command in last for command in COMMANDS)
 
 
 @pytest.mark.parametrize("command", ["matrix", "cognates", "align", "pca", "distance"])

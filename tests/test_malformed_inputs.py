@@ -292,3 +292,35 @@ def test_usage_error_is_one_line(command, argv):
     assert code == 2
     assert err.getvalue().startswith(f"phondist {command}: error: ")
     assert len(err.getvalue().splitlines()) == 1 and err.getvalue()[:-1].isprintable(), repr(err.getvalue())
+
+
+def _error(command, role, data: bytes, files) -> str:
+    """The one stderr line of a run on `data` in `role`, past its command and file name."""
+    good, work = files
+    code, err = _check(command, role, data, files)
+    prefix = f"phondist {command}: error: {work / f'bad-{role}{Path(good[role]).suffix}'}: "
+    assert code == 2 and err.startswith(prefix) and err.endswith("\n"), err
+    return err[len(prefix):-1]
+
+
+# Each format's reader words its own parse errors; the lines are pinned as they read.
+@pytest.mark.parametrize("command,role", CASES)
+def test_non_utf8_byte_error_line(command, role, files):
+    data = b"\xff" + Path(files[0][role]).read_bytes()
+    assert _error(command, role, data, files) == "not valid UTF-8 (invalid start byte)"
+
+
+@pytest.mark.parametrize("command,role,data,problem", [
+    ("fit", "bundles", b"[1 2]", "Expecting ',' delimiter: line 1 column 4 (char 3)"),
+    ("matrix", "model", b'{"version" 1}', "Expecting ':' delimiter: line 1 column 12 (char 11)"),
+    ("fit", "bundles", b"[" * 100_000, "nested too deeply"),
+    ("matrix", "model", b"[" * 100_000, "nested too deeply"),
+])
+def test_malformed_json_error_line(command, role, data, problem, files):
+    assert _error(command, role, data, files) == f"malformed JSON ({problem})"
+
+
+@pytest.mark.parametrize("role", ["seed", "templates", "adjustments"])
+def test_malformed_csv_error_line(role, files):
+    data = Path(files[0][role]).read_bytes() + b"a," + b"+" * 200_000 + b"\n"
+    assert _error("fit", role, data, files) == "malformed CSV (field larger than field limit (131072))"
