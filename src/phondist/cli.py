@@ -3,7 +3,7 @@
 README's "Pipeline walkthrough" runs each subcommand and states the exit codes.
 Each command imports the modules it runs, and `main` builds only the invoked
 command's arguments, so a process loads no other module (`fit` no alignment
-code, `pca` no JSON parser).
+code, `pca` no JSON parser, `--version` and `--help` no numpy).
 """
 
 import argparse
@@ -28,8 +28,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser(command: "str | None" = None) -> argparse.ArgumentParser:
-    """Every subcommand with its help, and the arguments of `command` alone if it is
-    given, so that a process imports only the modules its command runs."""
+    """Every subcommand with its help, and the arguments of `command` alone (of none
+    when it is `None`), so that a process imports only the modules its command runs."""
     parser = _Parser(
         prog="phondist",
         description="Dimensionless phoneme distances, alignment and cognancy scoring.",
@@ -40,7 +40,7 @@ def build_parser(command: "str | None" = None) -> argparse.ArgumentParser:
     def add(name: str, summary: str, run):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(run=run)
-        return p if command in (None, name) else None
+        return p if command == name else None
 
     if p := add("fit", "fit a distance model from seed data", cmd_fit):
         from .model import DEFAULT_LAMBDA

@@ -1,5 +1,7 @@
 import io
+import os
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,3 +179,13 @@ def demo_matrix(demo_model, demo_inventory):
 @pytest.fixture(scope="session")
 def fixture_matrix():
     return pd.load_reference_matrix(bundled_path("paper_table.tsv"))
+
+
+# ---------------------------------------------------------------------------
+# Child interpreters that import this checkout's package.
+
+
+def child_env(**extra) -> dict[str, str]:
+    """This environment, with this checkout's package first on PYTHONPATH, for a child process."""
+    src = str(Path(pd.__file__).resolve().parent.parent)
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

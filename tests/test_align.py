@@ -30,6 +30,7 @@ from phondist.errors import InputError, UnknownSegmentError
 from phondist.matrix import DistanceMatrix, export_matrix_tsv
 
 import oracles
+from conftest import child_env
 from oracles import enumerate_global_score, enumerate_local_score, tokens_for
 
 TEST1_WORDS = ["woldemort", "waldemar", "wladimir", "vladymir"]
@@ -726,9 +727,7 @@ print(" ".join(sorted(set(sys.modules) - before)))
 
 
 def test_aligning_imports_no_module():
-    src = str(Path(pd.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=child_env(), capture_output=True, text=True,
                           encoding="utf-8", timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []

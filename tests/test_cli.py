@@ -1,5 +1,4 @@
 import json
-import os
 import random
 import subprocess
 import sys
@@ -12,6 +11,8 @@ import phondist
 from phondist import align, bundled_path
 from phondist.cli import main
 from phondist.errors import NumericalError
+
+from conftest import child_env
 
 DATA = {
     "features": str(bundled_path("features.tsv")),
@@ -30,12 +31,6 @@ GOLDEN_INTERCEPT = 2.465961044818897
 
 def run(*argv):
     return main(list(argv))
-
-
-def _env(**extra) -> dict[str, str]:
-    """This environment, with this checkout's package first on PYTHONPATH, for a child process."""
-    src = str(Path(phondist.__file__).resolve().parent.parent)
-    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def _copy_or_skip(source, target: Path) -> Path:
@@ -398,7 +393,7 @@ def test_cognates_into_a_closed_pipe_exits_0_quietly(demo_matrix_file, tmp_path,
     words.write_text("".join("".join(rng.choices(segments, k=6)) + "\n" for _ in range(300)), encoding="utf-8")
     proc = subprocess.Popen(
         [sys.executable, *ENTRY_POINTS[entry], "cognates", "--matrix", str(demo_matrix_file), "--words", str(words)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
     )
     head = proc.stdout.read(100)  # `| head -c 100`: the table is far over the 64 KiB a pipe buffers
     proc.stdout.close()
@@ -428,7 +423,7 @@ def test_out_of_memory_exits_1_with_one_line(command, tmp_path):
         argv = ["--words", str(words)]
     done = subprocess.run(
         [sys.executable, "-m", "phondist", command, "--matrix", DATA["fixture"], *argv],
-        capture_output=True, text=True, env=_env(OPENBLAS_NUM_THREADS="1"), timeout=300,
+        capture_output=True, text=True, env=child_env(OPENBLAS_NUM_THREADS="1"), timeout=300,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE)),
     )
     assert (done.returncode, done.stderr.splitlines()) == (1, [f"phondist {command}: error: out of memory"])
@@ -521,7 +516,7 @@ def test_wrote_line_escapes_an_odd_out_path(command, fitted, tmp_path):
     inputs = {"matrix": ["--model", str(fitted), "--features", DATA["features"]],
               "pca": ["--matrix", DATA["fixture"]]}[command]
     done = subprocess.run([sys.executable, "-m", "phondist", command, *inputs, "-o", str(out)],
-                          env=_env(PYTHONIOENCODING="utf-8"), capture_output=True, timeout=120)
+                          env=child_env(PYTHONIOENCODING="utf-8"), capture_output=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, b"")
     assert done.stdout.decode("utf-8").rstrip("\n").endswith(f" to {_escaped(out)}")
 
@@ -535,7 +530,7 @@ def test_stdout_is_utf8_whatever_the_locale(command, demo_matrix_file, tmp_path)
     stdout = {}
     for encoding in ("utf-8", "ascii", "latin-1"):
         done = subprocess.run([sys.executable, "-m", "phondist", command, "--matrix", str(demo_matrix_file), *argv],
-                              env=_env(PYTHONIOENCODING=encoding), capture_output=True, timeout=120)
+                              env=child_env(PYTHONIOENCODING=encoding), capture_output=True, timeout=120)
         assert (done.returncode, done.stderr) == (0, b""), encoding
         stdout[encoding] = done.stdout
     assert not stdout["utf-8"].isascii()
@@ -546,7 +541,7 @@ def test_stdout_is_utf8_whatever_the_locale(command, demo_matrix_file, tmp_path)
 def test_stderr_is_utf8_whatever_the_locale(encoding, demo_matrix_file):
     """An error line names the word in UTF-8 bytes, not in a locale's escapes."""
     done = subprocess.run([sys.executable, "-m", "phondist", "align", "--matrix", str(demo_matrix_file), "ɔQ", "ɔ"],
-                          env=_env(PYTHONIOENCODING=encoding), capture_output=True, timeout=120)
+                          env=child_env(PYTHONIOENCODING=encoding), capture_output=True, timeout=120)
     assert (done.returncode, done.stdout) == (2, b"")
     assert len(done.stderr.splitlines()) == 1
     assert "cannot tokenize 'ɔQ'" in done.stderr.decode("utf-8")

@@ -10,15 +10,13 @@ still depend on the kernel.) A BLAS that ignores the variable passes trivially.
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-import phondist as pd
 from phondist.matrix import export_matrix_tsv
 
-SRC = Path(pd.__file__).resolve().parent.parent
+from conftest import child_env
 
 PROBE = """
 import json, random, sys
@@ -42,7 +40,7 @@ print(json.dumps(out))
 
 
 def _probe(matrix_path: Path, coretype: "str | None") -> dict:
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    env = child_env()
     env.pop("OPENBLAS_CORETYPE", None)
     if coretype:
         env["OPENBLAS_CORETYPE"] = coretype

@@ -1,19 +1,18 @@
 """Each CLI process loads only what its command runs; `import phondist` loads no submodule."""
 
 import io
-import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
 
 import phondist
 from phondist import bundled_path, cli
 
-SRC = str(Path(phondist.__file__).resolve().parent.parent)
-ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+from conftest import child_env
+
 DATA = {name: str(bundled_path(name)) for name in (
     "features.tsv", "seed_scores.csv", "delta_templates.csv", "delta_bundles.json", "adjustments.csv",
     "wordlists/test1.txt",
@@ -42,10 +41,10 @@ COMMANDS = {
 }
 
 
-def _python(code: str, *args: str, cwd=None) -> set[str]:
-    done = subprocess.run([sys.executable, "-c", code, *args], env=ENV, cwd=cwd, capture_output=True,
+def _python(code: str, *args: str, cwd=None, returncode=0) -> set[str]:
+    done = subprocess.run([sys.executable, "-c", code, *args], env=child_env(), cwd=cwd, capture_output=True,
                           text=True, encoding="utf-8", timeout=120)
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == returncode, done.stderr
     return set(done.stdout.splitlines()[-1].split())
 
 
@@ -80,6 +79,15 @@ def test_each_command_loads_only_the_modules_it_runs(command, loaded):
     assert loaded[command] & OPTIONAL == LOADS[command]
 
 
+@pytest.mark.parametrize(("argv", "code"), [(["--version"], 0), (["--help"], 0), ([], 2), (["bogus"], 2)],
+                         ids=["version", "help", "bare", "bogus"])
+def test_running_no_command_loads_no_library_module(argv, code):
+    modules = _python(RUN_AND_LIST_MODULES, *argv, returncode=code)
+    assert "numpy" not in modules
+    assert sorted(m for m in modules if m.startswith("phondist")) == [
+        "phondist", "phondist.cli", "phondist.errors", "phondist.textio"]
+
+
 def _main(argv: list[str]) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of `cli.main(argv)`, in this process."""
     out, err = io.StringIO(), io.StringIO()
@@ -91,24 +99,41 @@ def _main(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def _full_parser(argv: list[str]) -> tuple[int, str, str]:
-    """The same for the parser that builds every command's arguments."""
+def _bare_parser(argv: list[str]) -> tuple[int, str, str]:
+    """The same for `build_parser()`, which names every command and builds no command's arguments."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exited:
         cli.build_parser().parse_args(argv)
     return exited.value.code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("argv", [[command, "--help"] for command in COMMANDS] + [["--help"]])
-def test_help_is_the_full_parsers(argv):
-    code, out, err = _main(argv)
+def test_help_is_the_bare_parsers():
+    code, out, err = _main(["--help"])
     assert (code, err) == (0, "")
-    assert out.startswith("usage: phondist") and (code, out, err) == _full_parser(argv)
+    assert out.startswith("usage: phondist") and (code, out, err) == _bare_parser(["--help"])
+
+
+SCORING = ["--mode", "--sigma", "--center", "--gap", "--null-gaps"]
+OPTIONS = {
+    "fit": ["--features", "--seed", "--adjustments", "--templates", "--bundles", "--lambda", "-o", "--out"],
+    "matrix": ["--model", "--features", "--include-null", "-o", "--out"],
+    "distance": ["--matrix"],
+    "align": ["--matrix", *SCORING],
+    "cognates": ["--matrix", "--words", "--threshold", *SCORING],
+    "pca": ["--matrix", "-k", "--components", "--format", "-o", "--out"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_commands_help_lists_its_options(command):
+    code, out, err = _main([command, "--help"])
+    assert (code, err) == (0, "") and out.startswith(f"usage: phondist {command} ")
+    assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", out)) == {"-h", "--help", *OPTIONS[command]}
 
 
 def test_an_unknown_command_is_refused_naming_all_six():
     code, out, err = _main(["bogus"])
-    assert (code, out, err) == _full_parser(["bogus"])
+    assert (code, out, err) == _bare_parser(["bogus"])
     last = err.splitlines()[-1]
     assert code == 2 and "invalid choice" in last and "bogus" in last
     assert all(command in last for command in COMMANDS)

@@ -7,14 +7,13 @@ depends on the thread count.)
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import phondist as pd
 
-SRC = Path(pd.__file__).resolve().parent.parent
+from conftest import child_env
 
 PROBE = """
 import hashlib, json, random, sys
@@ -39,8 +38,7 @@ print(json.dumps(out))
 
 
 def _probe(model_path: Path, threads: int) -> dict:
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    env = child_env(OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
     done = subprocess.run([sys.executable, "-c", PROBE, str(model_path)], env=env,
                           capture_output=True, text=True, encoding="utf-8", timeout=300)
     assert done.returncode == 0, done.stderr
