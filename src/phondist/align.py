@@ -18,9 +18,10 @@ candidate as one addition of an earlier cell and a table entry, so a pair
 scores the same bits in either kernel.
 
 Exactness premise: the kernels pick a cell's score with np.maximum and floor
-local cells with a max against 0.0, where the tie order asks for the first
-strictly greater move and a floor when `not best > 0.0`. They agree bit for bit
-because of two invariants of the tables ScoringScheme builds:
+local cells with a max against 0.0, and `_align` tells a diagonal move by
+`best > diagonal candidate`, where the tie order asks for the first strictly
+greater move and a floor when `not best > 0.0`. They agree bit for bit because
+of two invariants of the tables ScoringScheme builds:
 
 - No NaN. Matrix entries are finite and in [0, 1], center is in (0, 1], and
   sigma and the gap constant are finite, so |sim| <= sigma and every table
@@ -55,8 +56,10 @@ DEFAULT_GAP = -5.0
 
 Column = tuple[str | None, str | None]  # (left token, right token), None = gap
 
-# Traceback moves, one byte per DP cell. _DIAG and _UP are 0 and 1, so that
-# `_align` writes its first pick as a boolean straight into the table.
+# Traceback moves, one byte per DP cell. `_align` writes a diagonal's moves as two
+# strict masks: best > diagonal move, as a boolean straight into the table, plus
+# left > max(diagonal, up), as a uint8 add. A left win implies the first, so the sum
+# is one of these only while _DIAG, _UP and _LEFT are 0, 1 and 2.
 # _STOP marks where every traceback ends: cell (0, 0), and in local mode all of
 # row 0 and column 0. `_align` writes it at setup, with the other boundary moves;
 # its fill writes the rest and no _STOP, not even into a floored local cell.
@@ -189,9 +192,14 @@ def _align(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> Align
     slices of buffers allocated once: besides the move table and its n+m+1
     diagonal offsets, O(n+m) scores and one K×m table of the right word's
     similarities, K the number of matrix segments (about 0.5 MB for a
-    1,000-segment word and 63 segments). Moves come from strict `>` masks in the
-    tie order, scores from `np.maximum` under the exactness premise (module
-    docstring).
+    1,000-segment word and 63 segments). Scores come from `np.maximum` under the
+    exactness premise (module docstring). A move byte is the sum of two strict
+    masks in the tie order: best > diagonal, written into the table's bool view,
+    and left > max(diagonal, up), added as uint8 through the pick's uint8 view (a
+    bool operand would be cast through a buffer). An `np.putmask` of the left
+    moves in place of the add branches per cell on a random mask: it cost more
+    than any other call of a diagonal. The ufuncs are looked up at call time,
+    from the module's `np`.
     """
     n, m = len(li), len(ri)
     # Cell (i, j) at at[i + j] + i: diagonal after diagonal, each ordered by i. Diagonal d
@@ -218,7 +226,9 @@ def _align(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> Align
     # diagonal before d writes them.
     older, last, cur = np.zeros((3, n + 1))
     g = np.array(s.gap_constant, dtype=float) if s.gap_mode == "constant" else None  # one add makes both gap moves
-    cand, lft, pick = np.empty(n + 1), np.empty(n if g is None else 0), np.empty(n, dtype=bool)
+    cand, diag, lft, pick = np.empty(n + 1), np.empty(n), np.empty(n if g is None else 0), np.empty(n, dtype=bool)
+    pick_u8 = pick.view(np.uint8)
+    add, greater, maximum = np.add, np.greater, np.maximum
     score, i, j = 0.0, 0, 0
     with np.errstate(all="ignore"):  # Python floats overflow to inf without a warning
         # diagonal d holds cells lo .. hi, lo = max(1, d-m) and hi = min(n, d-1)
@@ -230,24 +240,25 @@ def _align(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> Align
                 cur[d] = side[d]
             if lo <= hi:
                 k, r = hi - lo + 1, m - d
-                h, c, p = cur[lo:hi + 1], cand[:k], pick[:k]
+                h, c, dg, p = cur[lo:hi + 1], cand[:k], diag[:k], pick[:k]
                 o = at.item(d)
                 sims[d:].take(base[lo - 1:hi], out=c, mode="clip")
-                np.add(older[lo - 1:hi], c, out=h)
+                add(older[lo - 1:hi], c, out=dg)
                 if g is None:  # the up candidates into c, the left ones into e
                     e = lft[:k]
-                    np.add(last[lo - 1:hi], gl[lo - 1:hi], out=c)
-                    np.add(last[lo:hi + 1], grrev[r + lo:r + hi + 1], out=e)
+                    add(last[lo - 1:hi], gl[lo - 1:hi], out=c)
+                    add(last[lo:hi + 1], grrev[r + lo:r + hi + 1], out=e)
                 else:  # cell lo+t moves up from last[lo-1+t] and left from last[lo+t]
-                    np.add(last[lo - 1:hi + 1], g, out=cand[:k + 1])
+                    add(last[lo - 1:hi + 1], g, out=cand[:k + 1])
                     e = cand[1:k + 1]
-                np.greater(c, h, out=up[o + lo:o + hi + 1])  # _DIAG, or _UP where up beat it
-                np.maximum(h, c, out=h)
-                np.greater(e, h, out=p)
-                np.maximum(h, e, out=h)
-                np.putmask(table[o + lo:o + hi + 1], p, _LEFT)  # cells (lo, d-lo) .. (hi, d-hi), contiguous
+                maximum(dg, c, out=h)
+                greater(e, h, out=p)  # left beat diagonal and up
+                maximum(h, e, out=h)
+                # cells (lo, d-lo) .. (hi, d-hi), contiguous: 1 where the best beat diagonal, + 1 where left won
+                greater(h, dg, out=up[o + lo:o + hi + 1])
+                add(t := table[o + lo:o + hi + 1], pick_u8[:k], out=t)  # _DIAG, _UP or _LEFT
                 if local:  # a floored cell keeps its pick; the traceback finds it
-                    np.maximum(h, _ZERO, out=h)
+                    maximum(h, _ZERO, out=h)
                     # the first best cell in row-major order: first on this diagonal; a
                     # later diagonal's tie comes first only from a smaller row
                     a = int(h.argmax())

@@ -162,16 +162,18 @@ def pca(dm: DistanceMatrix, k: int) -> PcaResult:
 
 def export_matrix_tsv(dm: DistanceMatrix, sink: str | Path | TextIO, header: str = "") -> None:
     """Write a full square TSV with 6-decimal entries."""
+    line = "\t".join(["%s", *["%.6f"] * len(dm.segments)])  # one % operation per row: twice as fast as per cell
     rows = [["segment", *dm.segments]]
-    rows += [[g, *(f"{v:.6f}" for v in row)] for g, row in zip(dm.segments, dm.values)]
+    rows += [[line % (g, *row)] for g, row in zip(dm.segments, dm.values.tolist())]
     textio.write_table(sink, header, rows)
 
 
 def export_pca_tsv(result: PcaResult, sink: str | Path | TextIO, header: str = "") -> None:
     """Write per-segment component coordinates, 6 decimals."""
     k = result.coordinates.shape[1]
+    line = "\t".join(["%s", *["%.6f"] * k])  # one % operation per row, as export_matrix_tsv
     rows = [["segment", *(f"pc{i + 1}" for i in range(k))]]
-    rows += [[g, *(f"{c:.6f}" for c in coords)] for g, coords in zip(result.segments, result.coordinates)]
+    rows += [[line % (g, *coords)] for g, coords in zip(result.segments, result.coordinates.tolist())]
     textio.write_table(sink, header, rows)
 
 

@@ -286,7 +286,14 @@ class SignCheckedNumpy:
     """numpy as the align module calls it, except that every float array written
     by np.add or np.maximum must hold no NaN and no -0.0. Those arrays are the
     vectorised kernels' candidates and cells, and no output shows a cell's sign
-    of zero, so only this can catch a kernel that breaks the premise."""
+    of zero, so only this can catch a kernel that breaks the premise.
+
+    A uint8 array written by np.add is a diagonal of `_align`'s move table, all
+    its cells on or off the traceback path, and must hold only _DIAG, _UP and
+    _LEFT; `move_writes` counts those writes."""
+
+    def __init__(self):
+        self.move_writes = 0
 
     def __getattr__(self, name):
         ufunc = getattr(np, name)
@@ -298,17 +305,23 @@ class SignCheckedNumpy:
             if out.dtype == np.float64:
                 assert not np.isnan(out).any(), f"np.{name} wrote NaN"
                 assert not (np.signbit(out) & (out == 0.0)).any(), f"np.{name} wrote -0.0"
+            elif out.dtype == np.uint8 and name == "add":
+                moves = (align._DIAG, align._UP, align._LEFT)
+                assert np.isin(out, moves).all(), f"np.add wrote moves {sorted(set(out.tolist()) - set(moves))}"
+                self.move_writes += 1
             return out
 
         return checked
 
 
 def assert_aligners_match_the_oracles(s, left, right):
-    """Both aligners, under SignCheckedNumpy, give the oracles' columns and exact score."""
+    """Both aligners, under SignCheckedNumpy, give the oracles' columns and exact
+    score, and write their interior moves, one diagonal per np.add, as _DIAG, _UP or _LEFT."""
     for aligner, reference in ((pd.global_align, oracles.global_align), (pd.local_align, oracles.local_align)):
         want = reference(s, left, right)
-        with mock.patch.object(align, "np", SignCheckedNumpy()):
+        with mock.patch.object(align, "np", checked := SignCheckedNumpy()):
             got = aligner(s, left, right)
+        assert checked.move_writes == (len(left) + len(right) - 1 if left and right else 0)
         assert got == want
         assert repr(got.score) == repr(want.score)  # repr tells -0.0 from 0.0
         assert repr(want.score) not in ("-0.0", "nan")
