@@ -127,8 +127,7 @@ class CognancyMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "words", tuple(self.words))
-        if unprintable := [w for w in self.words if not w.isprintable()]:
-            raise InputError(f"word {unprintable[0]!r} is not printable")
+        textio.refuse_unprintable(self.words, "word {!r}")
         scores = np.asarray(self.scores, dtype=np.float64).view()  # only the view turns read-only
         if scores.shape != (n := len(self.words),) * 2:
             raise InputError(f"cognancy scores have shape {scores.shape}, expected ({n}, {n}) for {n} words")

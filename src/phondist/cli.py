@@ -261,7 +261,3 @@ def main(argv: "list[str] | None" = None) -> int:
     except MemoryError:  # an input too large for this process, e.g. under `ulimit -v`
         print(f"phondist {args.command}: error: out of memory", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

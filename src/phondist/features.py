@@ -64,8 +64,7 @@ class Inventory:
             table[grapheme] = features
         if not table:
             raise InputError("feature table contains no segment rows")
-        if unprintable := [name for name in (*names, *table) if not name.isprintable()]:
-            raise InputError(f"feature or segment name {unprintable[0]!r} is not printable")
+        textio.refuse_unprintable((*names, *table), "feature or segment name {!r}")
         table.setdefault(NULL_GRAPHEME, (False,) * len(names))
         self._segments = {g: Segment(g, features, names) for g, features in table.items()}
         self._row_of = {g: i for i, g in enumerate(table)}

@@ -33,8 +33,7 @@ class DistanceMatrix:
             raise InputError("duplicate graphemes in matrix header")
         if "" in self.segments:
             raise InputError("empty segment name in matrix header")
-        if unprintable := [g for g in self.segments if not g.isprintable()]:
-            raise InputError(f"segment name {unprintable[0]!r} in matrix header is not printable")
+        textio.refuse_unprintable(self.segments, "segment name {!r} in matrix header")
         if not np.all(np.isfinite(values)):
             raise InputError("matrix contains non-finite entries")
         if np.any(values < 0.0) or np.any(values > 1.0):
@@ -71,8 +70,7 @@ class PcaResult:
     segments: tuple[str, ...]
 
     def __post_init__(self):  # the exports write the names unescaped, as they do a DistanceMatrix's
-        if unprintable := [g for g in self.segments if not g.isprintable()]:
-            raise InputError(f"segment name {unprintable[0]!r} in PCA result is not printable")
+        textio.refuse_unprintable(self.segments, "segment name {!r} in PCA result")
 
 
 def build_matrix(m: LinearModel, inv: Inventory, include_null: bool = False) -> DistanceMatrix:
@@ -160,21 +158,22 @@ def pca(dm: DistanceMatrix, k: int) -> PcaResult:
     )
 
 
+def _export_rows(sink: str | Path | TextIO, header: str, columns, segments, values: np.ndarray) -> None:
+    """A "segment" + `columns` header line, then each segment's name and row of values to 6 decimals."""
+    line = "\t".join(["%s", *["%.6f"] * values.shape[1]])  # one % operation per row: twice as fast as per cell
+    rows = [["segment", *columns]] + [[line % (g, *row)] for g, row in zip(segments, values.tolist())]
+    textio.write_table(sink, header, rows)
+
+
 def export_matrix_tsv(dm: DistanceMatrix, sink: str | Path | TextIO, header: str = "") -> None:
     """Write a full square TSV with 6-decimal entries."""
-    line = "\t".join(["%s", *["%.6f"] * len(dm.segments)])  # one % operation per row: twice as fast as per cell
-    rows = [["segment", *dm.segments]]
-    rows += [[line % (g, *row)] for g, row in zip(dm.segments, dm.values.tolist())]
-    textio.write_table(sink, header, rows)
+    _export_rows(sink, header, dm.segments, dm.segments, dm.values)
 
 
 def export_pca_tsv(result: PcaResult, sink: str | Path | TextIO, header: str = "") -> None:
     """Write per-segment component coordinates, 6 decimals."""
     k = result.coordinates.shape[1]
-    line = "\t".join(["%s", *["%.6f"] * k])  # one % operation per row, as export_matrix_tsv
-    rows = [["segment", *(f"pc{i + 1}" for i in range(k))]]
-    rows += [[line % (g, *coords)] for g, coords in zip(result.segments, result.coordinates.tolist())]
-    textio.write_table(sink, header, rows)
+    _export_rows(sink, header, [f"pc{i + 1}" for i in range(k)], result.segments, result.coordinates)
 
 
 # The scatter's fixed 800x600 frame, axes 60 px in: slots for the header comment and the points.

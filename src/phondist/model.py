@@ -71,11 +71,12 @@ def encode_pairs(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
 
 
 def predict_rows(m: LinearModel, X: np.ndarray) -> np.ndarray:
-    """Clamped distances for design rows X. Each row is one BLAS dot: a matrix
-    product sums in another order, moving entries by up to ~2e-15 and the
-    alignment scores computed from them in their last bits."""
+    """min(1, max(0, intercept + x·w)) per row x of X, NaN and -0.0 giving 0.0 as in max. The stacked
+    matmul is one BLAS ddot per row, as `x @ w` is; a gemv or a plain matrix product sums in another
+    order, moving entries by up to ~2e-15 and the alignment scores computed from them in their last bits."""
     w = np.asarray(m.coefficients)
-    return np.array([min(1.0, max(0.0, m.intercept + float(x @ w))) for x in X])
+    raw = m.intercept + np.matmul(X[:, None, :], w[:, None])[:, 0, 0]
+    return np.where(raw > 0.0, np.where(raw < 1.0, raw, 1.0), 0.0)
 
 
 def _checked_lambda(lam: float) -> None:
@@ -85,8 +86,8 @@ def _checked_lambda(lam: float) -> None:
 
 
 def fit(ds: "SeedDataset", inv: Inventory, lam: float = DEFAULT_LAMBDA) -> LinearModel:
-    """Fit the distance model on a (normalized, augmented) dataset: minimize
-    sum((score - intercept - w·x)^2) + lam * ||w||^2, the intercept unpenalized."""
+    """Fit on a (normalized, augmented) dataset: minimize sum((score - intercept - w·x)^2) + lam * ||w||^2,
+    the intercept unpenalized. The design is centred in place, so the SVD holds its one copy."""
     _checked_lambda(lam)
     records = ds.records
     if len(records) < 2:
@@ -98,11 +99,11 @@ def fit(ds: "SeedDataset", inv: Inventory, lam: float = DEFAULT_LAMBDA) -> Linea
 
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
-    Xc = X - x_mean
+    X -= x_mean
     yc = y - y_mean
 
     try:
-        u, s, vt = np.linalg.svd(Xc, full_matrices=False)
+        u, s, vt = np.linalg.svd(X, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD of the design matrix failed: {exc}") from exc
 

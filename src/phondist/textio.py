@@ -7,7 +7,7 @@ line numbers, and raise a one-line InputError for a file that is not valid
 UTF-8, CSV or JSON or whose rows have the wrong width; the CLI puts the file's
 name in front of it. `one_line` escapes paths, arguments and headers wherever
 they leave the package as one line (table and SVG comments, CLI lines); data
-needs no escaping, as Inventory and DistanceMatrix refuse unprintable names.
+needs no escaping, as every name is checked printable where it is built.
 """
 
 import io
@@ -50,6 +50,12 @@ def nfc(text: str) -> str:
 def one_line(value) -> str:
     """str(value) with each unprintable character (line breaks, controls, surrogates) backslash-escaped."""
     return "".join(c if c.isprintable() else ascii(c)[1:-1] for c in str(value))
+
+
+def refuse_unprintable(names: Iterable[str], what: str) -> None:
+    """The one printable-name check: the first unprintable name, put into `what`'s "{!r}", is refused."""
+    if bad := [name for name in names if not name.isprintable()]:
+        raise InputError(f"{what.format(bad[0])} is not printable")
 
 
 def read_lines(source: str | Path | TextIO) -> list[tuple[int, str]]:

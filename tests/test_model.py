@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import phondist as pd
 from phondist.errors import InputError, NumericalError, UnknownSegmentError
-from phondist.model import FingerprintError, LinearModel, encode_pairs
+from phondist.model import FingerprintError, LinearModel, encode_pairs, predict_rows
 from phondist.seed import SeedDataset, SimilarityRecord
 
 from conftest import design_of, mini_inventory, random_inventory, synthetic_dataset
@@ -241,6 +241,43 @@ class TestPredictDistance:
         assert 0.0 <= d_ab <= 1.0
         if a.grapheme == b.grapheme:
             assert d_ab == 0.0
+
+
+def per_row_reference(m, X):
+    """predict_rows as a Python loop: one dot per row, then Python's own clamp."""
+    w = np.asarray(m.coefficients)
+    return np.array([min(1.0, max(0.0, m.intercept + float(x @ w))) for x in X])
+
+
+class TestPredictRows:
+    """The stacked product and array clamp give the per-row loop's bytes."""
+
+    def test_bundled_design_with_null(self, demo_model, demo_inventory):
+        rows = demo_inventory.feature_rows(list(demo_inventory.graphemes))  # ∅ included
+        i, j = np.triu_indices(len(rows), k=1)
+        X = encode_pairs(rows[i], rows[j])
+        assert len(X) == 1953
+        got = predict_rows(demo_model, X)
+        assert got.dtype == np.float64 and got.tobytes() == per_row_reference(demo_model, X).tobytes()
+
+    def test_extreme_random_designs(self):
+        """±1e308 terms overflow to ±inf and to NaN (inf - inf); both clamp as max and min do."""
+        extremes = np.array([1e308, -1e308, 0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 0.5])
+        rng = np.random.default_rng(34)
+
+        def draw(shape):
+            return np.where(rng.random(shape) < 0.5, rng.choice(extremes, shape), rng.normal(0.0, 2.0, shape))
+
+        sums = []
+        for k, F in [(0, 3), (1, 1), *((int(rng.integers(1, 60)), int(rng.integers(1, 20))) for _ in range(200))]:
+            model = LinearModel(intercept=float(draw(())), coefficients=tuple(draw(2 * F).tolist()), lam=0.0,
+                                feature_names=tuple(f"f{n}" for n in range(F)))
+            X = draw((k, 2 * F))
+            with np.errstate(all="ignore"):
+                got, want = predict_rows(model, X), per_row_reference(model, X)
+                sums += [model.intercept + float(x @ np.asarray(model.coefficients)) for x in X]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert any(map(math.isnan, sums)) and math.inf in sums and -math.inf in sums
 
 
 def model_of(inv, **changes):
