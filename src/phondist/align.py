@@ -47,7 +47,7 @@ import numpy as np
 
 from . import textio
 from .errors import InputError
-from .features import NULL_GRAPHEME, tokenize
+from .features import NULL_GRAPHEME, _pattern, tokenize
 from .matrix import DistanceMatrix
 
 DEFAULT_SIGMA = 10.0
@@ -93,13 +93,15 @@ class ScoringScheme:
             raise InputError("null_column gap mode needs a ∅ row in the matrix")
         if not math.isfinite(self.gap_constant):
             raise InputError(f"gap score must be finite, got {self.gap_constant}")
-        # The kernels' tables, by matrix index: similarity rows and gap scores.
+        # The kernels' tables, by matrix index: similarity rows and gap scores; and in constant
+        # mode the gap as a 0-d operand (_gap, else None), which numpy takes without converting it.
         sim = self.sigma * (self.center - self.matrix.values)
-        gaps = (np.full(len(self.matrix), self.gap_constant, dtype=float) if self.gap_mode == "constant"
-                else sim[:, self.matrix.index(NULL_GRAPHEME)].copy())
+        gap = np.array(self.gap_constant, dtype=float) if self.gap_mode == "constant" else None
+        gaps = sim[:, self.matrix.index(NULL_GRAPHEME)].copy() if gap is None else np.full(len(self.matrix), gap)
         sim.flags.writeable = gaps.flags.writeable = False
         object.__setattr__(self, "_sim_array", sim)
         object.__setattr__(self, "_gap_array", gaps)
+        object.__setattr__(self, "_gap", gap)
 
 
 @dataclass(frozen=True)
@@ -224,7 +226,7 @@ def _align(s: ScoringScheme, li: list[int], ri: list[int], local: bool) -> Align
     # column 0: top and side in global mode. In local mode they stay 0.0, as no
     # diagonal before d writes them.
     older, last, cur = np.zeros((3, n + 1))
-    g = np.array(s.gap_constant, dtype=float) if s.gap_mode == "constant" else None  # one add makes both gap moves
+    g = s._gap  # in constant mode one add makes both gap moves
     cand, diag, lft, pick = np.empty(n + 1), np.empty(n), np.empty(n if g is None else 0), np.empty(n, dtype=bool)
     pick_u8 = pick.view(np.uint8)
     add, greater, maximum = np.add, np.greater, np.maximum
@@ -299,34 +301,54 @@ def cognancy_matrix(
 ) -> CognancyMatrix:
     """All-pairs alignment scores (NaN on the diagonal); each word is tokenized once.
 
+    A list of str is tokenized with one `findall` over the NFC'd words joined
+    by "\n", which no grapheme holds (graphemes are printable), so no token
+    spans two words; each word's token count is read off the cumulative token
+    lengths. When the tokens cover less than the words (a word that does not
+    tokenize, "\n" inside a word) or a word is not a str, every word goes
+    through `_indices` instead, and the first bad word raises its own error.
+
     A replaced module aligner (a profiler's wrapper, a test double) is called
     once per pair, in row-major order, instead of the batched kernel, so
-    whatever wraps `global_align` or `local_align` sees every pair.
+    whatever wraps `global_align` or `local_align` sees every pair; the words
+    then go through `_indices`, and so through `tokenize`.
     """
     if len(words) < 2:
         raise InputError(f"need at least 2 words, got {len(words)}")
     if mode not in ("global", "local"):
         raise InputError(f"unknown alignment mode {mode!r}")
-    tokens = [_indices(s, w) for w in words]
     n = len(words)
     scores = np.empty((n, n))
     np.fill_diagonal(scores, np.nan)
     aligner = global_align if mode == "global" else local_align
     if aligner is not _ALIGNERS[mode]:
         seg = s.matrix.segments
-        segments = [[seg[k] for k in t] for t in tokens]
+        segments = [[seg[k] for k in _indices(s, w)] for w in words]
         for i, j in combinations(range(n), 2):
             scores[i, j] = scores[j, i] = aligner(s, segments[i], segments[j]).score
         return CognancyMatrix(words, scores)
-    lengths = np.array([len(t) for t in tokens])
+    lengths, indices = _list_indices(s, words)
     padded = np.zeros((lengths.max(), n), dtype=np.intp)  # (position, word); index 0 pads: any finite entry will do
-    padded.T[np.arange(len(padded)) < lengths[:, None]] = list(chain.from_iterable(tokens))  # word by word
+    padded.T[np.arange(len(padded)) < lengths[:, None]] = indices  # word by word
     # Python floats overflow to inf without a warning; so must the batch.
     with np.errstate(all="ignore"):
         for left, right in _pair_chunks(lengths, _CHUNK_CELLS):
-            values = _batch_scores(s._sim_array, s._gap_array, padded, lengths, left, right, mode == "local")
+            values = _batch_scores(s._sim_array, s._gap_array, padded, lengths, left, right, mode == "local", s._gap)
             scores[left, right] = scores[right, left] = values
     return CognancyMatrix(words, scores)
+
+
+def _list_indices(s: ScoringScheme, words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The words' token counts and their `_indices`, concatenated: from one findall, or word by word."""
+    if all(isinstance(w, str) for w in words):
+        text = list(map(textio.nfc, words))  # a blank word is "": no tokens, as in `_indices`
+        tokens = _pattern(s.matrix._alphabet).findall("\n".join(text))
+        indices = np.array(list(map(s.matrix._index.__getitem__, tokens)), dtype=np.intp)
+        token_lengths, word_ends = np.array(list(map(len, s.matrix.segments)))[indices], np.cumsum(list(map(len, text)))
+        if token_lengths.sum() == word_ends[-1]:  # the tokens cover the words: each word's last one ends at its end
+            return np.diff(token_lengths.cumsum().searchsorted(word_ends, side="right"), prepend=0), indices
+    tokens = [_indices(s, w) for w in words]
+    return np.array([len(t) for t in tokens]), np.array(list(chain.from_iterable(tokens)), dtype=np.intp)
 
 
 def _pair_chunks(lengths: np.ndarray, budget: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -336,20 +358,29 @@ def _pair_chunks(lengths: np.ndarray, budget: int) -> Iterator[tuple[np.ndarray,
     Pairs come grouped by lengths[j], ascending, one right length m per chunk,
     and left lengths never decrease within a chunk, as `_batch_scores` requires.
     A chunk of p pairs, its longest left word n segments, keeps p·(n + m + 1)
-    within `budget` cells or is a single pair. Left words meet a right length's
-    words a block at a time, so a few times budget / (m + 1) + len(lengths)
-    indices are held at once.
+    within `budget` cells or is a single pair. A right length whose pairs all
+    fit is one chunk, yielded as it is built. Otherwise left words meet the
+    length's words a block at a time, so a few times budget / (m + 1) +
+    len(lengths) indices are held at once.
     """
     order = np.argsort(lengths, kind="stable")  # by length, then index; not np.unique, which imports numpy.ma
     for m in sorted(set(lengths.tolist())):
         words = np.flatnonzero(lengths == m)
+
+        def meet(block):  # each block word k meets the words of length m after it, the last `count` of `words`
+            count = len(words) - words.searchsorted(block, side="right")
+            return block.repeat(count), words[np.arange(count.sum()) + (len(words) - count.cumsum()).repeat(count)]
+
+        if (pairs := int(words.sum())) == 0:  # word j meets the j words before it; word 0 meets none
+            continue
+        if pairs * (lengths[:words[-1]].max() + m + 1) <= budget:  # the longest left word comes before words[-1]
+            yield meet(order)
+            continue
         left = right = np.empty(0, dtype=np.intp)
         step = max(1, budget // ((m + 1) * len(words)))  # at most budget / (m + 1) pairs, or one left word's
         for c in range(0, len(order), step):
-            first = words.searchsorted(block := order[c:c + step], side="right")  # word k meets words[first[k]:]
-            count = len(words) - first
-            left = np.concatenate((left, block.repeat(count)))
-            right = np.concatenate((right, words[np.arange(count.sum()) + (len(words) - count.cumsum()).repeat(count)]))
+            block_left, block_right = meet(order[c:c + step])
+            left, right = np.concatenate((left, block_left)), np.concatenate((right, block_right))
             # pairs [s, e) fit the budget when e - s <= budget // (longest left + m + 1), that is fit[e - 1] <= s
             fit = np.arange(1, len(left) + 1) - (budget // (np.arange(lengths.max() + 1) + m + 1))[lengths[left]]
             s, end = 0, len(left) + (c + step >= len(order))  # a chunk ends at a later pair, or the group's end
@@ -359,7 +390,7 @@ def _pair_chunks(lengths: np.ndarray, budget: int) -> Iterator[tuple[np.ndarray,
             left, right = left[s:], right[s:]
 
 
-def _batch_scores(sim, gaps, padded, lengths, left, right, local: bool) -> np.ndarray:
+def _batch_scores(sim, gaps, padded, lengths, left, right, local: bool, gap) -> np.ndarray:
     """_align's scores for the pairs (left[k], right[k]), one array element per pair.
 
     Every right word has the same length m, and left lengths must not decrease
@@ -370,12 +401,16 @@ def _batch_scores(sim, gaps, padded, lengths, left, right, local: bool) -> np.nd
     cell is computed into buffers allocated once per chunk. Cells are picked
     with `np.maximum` under the exactness premise (module docstring); in local
     mode the floor is taken before the left-gap chain: max(max(c, 0), l) = max(c, l, 0).
+    `gap` is the scheme's 0-d constant gap, or None in null_column mode. A
+    constant gap is added as that one operand to the top row, the up moves and
+    the left-gap chain, so `gaps` is not read.
     """
     nl = lengths[left]
     n, m, p = nl.max(), lengths[right[0]], len(left)
     done = np.searchsorted(nl, np.arange(n + 1), side="right").tolist()  # pairs [0, done[i]) end by row i
     lw, rw = padded[:n].take(left, axis=1), padded[:m].take(right, axis=1)
-    gl, gr = gaps[lw], gaps[rw]
+    if gap is None:
+        gl, gr = gaps[lw], gaps[rw]
     lw *= sim.shape[1]  # row offsets into the flat similarity table
     flat = sim.ravel()
     prev, row = np.zeros((2, m + 1, p))
@@ -383,22 +418,23 @@ def _batch_scores(sim, gaps, padded, lengths, left, right, local: bool) -> np.nd
     if local:
         score = np.zeros(p)
     else:
-        for j in range(m):  # left-to-right additions, as accumulate() makes them
-            np.add(prev[j], gr[j], out=prev[j + 1])
+        for j, gj in zip(range(m), gr if gap is None else repeat(gap)):  # left to right, as accumulate() adds
+            np.add(prev[j], gj, out=prev[j + 1])
         score = prev[m].copy()  # the scores of pairs with an empty left word
     for i in range(n):
         d, k = done[i], p - done[i]  # row i works on the pairs whose left word is longer than i: [d, p)
-        cur, last, g, ext = row[:, d:], prev[:, d:], gr[:, d:], lft[:k]
+        cur, last, ext = row[:, d:], prev[:, d:], lft[:k]
+        up, g = (gl[i, d:], gr[:, d:]) if gap is None else (gap, repeat(gap, m))  # the up and left gaps
         idx, move = at[:m * k].reshape(m, k), cand[:m * k].reshape(m, k)  # contiguous, so `take` writes in place
         np.add(rw[:, d:], lw[i, d:], out=idx)
         flat.take(idx, out=move, mode="clip")  # indices are in range
         np.add(last[:-1], move, out=cur[1:])  # the diagonal move
-        np.add(last[1:], gl[i, d:], out=move)  # the up move
+        np.add(last[1:], up, out=move)  # the up move
         np.maximum(cur[1:], move, out=cur[1:])
         if local:  # floored before the left-gap chain; row[0] stays 0.0 in both buffers
             np.maximum(cur[1:], _ZERO, out=cur[1:])
         else:
-            np.add(last[0], gl[i, d:], out=cur[0])
+            np.add(last[0], up, out=cur[0])
         for a, b, gj in zip(cur[:-1], cur[1:], g):  # the left-gap chain runs along the row
             np.add(a, gj, out=ext)
             np.maximum(b, ext, out=b)

@@ -674,7 +674,7 @@ class TestBatchedCognancyIsExact:
         monkeypatch.setattr(align, "_align", None)  # the batched path runs no per-pair DP
         assert pd.cognancy_matrix(scheme, TEST1_WORDS, mode).scores.tobytes() == batched.tobytes()
 
-    @pytest.mark.parametrize("bad", ["a#k", ["a", "q"]])
+    @pytest.mark.parametrize("bad", ["a#k", "a\nk", ["a", "q"]])
     def test_unknown_segment_raises_as_the_aligner_does(self, scheme, bad):
         with pytest.raises(InputError) as want:
             pd.global_align(scheme, bad, "a")
@@ -723,6 +723,74 @@ class TestBatchedCognancyIsExact:
 # Run in a fresh interpreter, where a lazy import shows: on numpy 2.x np.unique
 # imports numpy.ma, about 15 ms of every `phondist cognates` run on a 2-CPU host.
 # The package root's exports load on first use, so the probe resolves them first.
+@pytest.mark.parametrize("budget", [None, 7])  # a length group in one chunk, or in blocks
+@pytest.mark.parametrize("mode", ["global", "local"])
+def test_constant_gaps_read_no_gap_table(demo_matrix, mode, budget, monkeypatch):
+    """A constant-gap batch adds the scheme's 0-d gap, so a table of NaN gap scores changes no score."""
+    if budget is not None:
+        monkeypatch.setattr(align, "_CHUNK_CELLS", budget)
+    s = ScoringScheme(matrix=demo_matrix)
+    words = list_words([g for g in demo_matrix.segments if g != "∅"], seed=4)
+    want = pd.cognancy_matrix(s, words, mode).scores.tobytes()
+    object.__setattr__(s, "_gap_array", np.full_like(s._gap_array, np.nan))
+    assert pd.cognancy_matrix(s, words, mode).scores.tobytes() == want
+
+
+class TestListTokenizing:
+    """cognancy_matrix tokenizes a list of str with one findall over the joined words. It
+    must give the counts and indices that `_indices` gives word by word, and raise
+    what the first word that `_indices` refuses raises."""
+
+    @pytest.fixture(scope="class")
+    def small(self):  # a precomposed grapheme and a two-letter one beside its first letter
+        segments = ["a", "é", "k", "t", "ts", "∅"]
+        rng = np.random.default_rng(0)
+        values = np.triu(rng.random((6, 6)), 1)
+        return ScoringScheme(matrix=DistanceMatrix(segments, values + values.T))
+
+    @staticmethod
+    def outcome(tokenized):
+        """(counts, indices) of a tokenizing, or its error as (type, message)."""
+        try:
+            lengths, indices = tokenized()
+        except InputError as exc:
+            return type(exc), str(exc)
+        return list(lengths), list(indices)
+
+    def assert_same(self, s, words):
+        def per_word():
+            tokens = [align._indices(s, w) for w in words]
+            return [len(t) for t in tokens], [k for t in tokens for k in t]
+
+        want = self.outcome(per_word)
+        assert self.outcome(lambda: align._list_indices(s, words)) == want
+        return want
+
+    @pytest.mark.parametrize("words", [
+        ["ak", "tsak", "tak", "ék", "e\u0301k"],  # NFD é composes under NFC
+        ["", "  ", "\t\n", "ak", " ka \n"],  # blank words have no tokens; the rest is stripped
+        ["", ""],
+        ["ak", ["ts", "a"], "k"],  # a token-list word: every word goes through _indices
+    ])
+    def test_counts_and_indices(self, small, words):
+        assert isinstance(self.assert_same(small, words)[0], list)
+
+    @pytest.mark.parametrize("words,raised", [
+        (["ak", "a\nk", "k"], "cannot tokenize 'a\\nk'"),  # a line break inside a word
+        (["ak", "aq", "a#k"], "cannot tokenize 'aq'"),  # two bad words: the first is raised
+        (["k#", ["a", "q"]], "cannot tokenize 'k#'"),
+        (["ka", ["a", "q"], "k#"], "unknown segment 'q'"),
+    ])
+    def test_the_first_bad_word_raises(self, small, words, raised):
+        assert raised in self.assert_same(small, words)[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(st.sampled_from(["a", "é", "e", "\u0301", "k", "t", "s", " ", "\n", "#"]), max_size=6),
+                    min_size=2, max_size=8))
+    def test_hypothesis_lists(self, small, words):
+        self.assert_same(small, words)
+
+
 IMPORT_PROBE = """
 import sys
 import phondist as pd
